@@ -23,8 +23,12 @@ import (
 // [0, nf·Q) and — crucially for hoisted key-switching — makes the conversion
 // exactly negation-equivariant: Convert(-x) = -Convert(x) residue for
 // residue, so the Galois automorphism (a signed coefficient permutation)
-// commutes bit-exactly with ModUp. Both stages fan out across the attached
-// execution engine — stage 1 over source limbs × coefficient blocks, stage 2
+// commutes bit-exactly with ModUp. Since Σ_j f(y_j)·(Q/q_j) = Σ_j
+// y_j·(Q/q_j) - c·Q with c the number of digits above half, the centering
+// is one correction c·[-Q]_{p_i} per target coefficient: stage 1 counts c
+// once per conversion and stage 2 is a plain, branch-free multiply-
+// accumulate. Both stages fan out across the attached execution engine —
+// stage 1 over coefficient blocks (each task owns its block of c), stage 2
 // over target limbs × coefficient blocks (the 2-D sharding keeps short bases
 // parallel, see Engine.RunBlocks) — and the stage-1 intermediates live in a
 // sync.Pool so repeated conversions allocate nothing.
@@ -44,9 +48,10 @@ type BasisExtender struct {
 	negQTo   []uint64   // [-Q]·R mod to[i].Q (M-form), the centering correction
 
 	// lazyStage2 selects the 128-bit lazy accumulation in stage 2; it is
-	// cleared at construction when nf unreduced products could overflow
-	// 128 bits (very wide moduli × very long source bases), falling back
-	// to per-term modular reduction.
+	// cleared at construction when the unreduced sum — nf products
+	// y_j·qhatTo[j][i] plus the hoisted correction c·negQTo[i], c ≤ nf —
+	// could overflow 128 bits (very wide moduli × very long source bases),
+	// falling back to per-term modular reduction.
 	lazyStage2 bool
 
 	exec    *Engine
@@ -54,11 +59,12 @@ type BasisExtender struct {
 	accPool sync.Pool // *[]uint64, per-task stage-2 accumulator blocks
 }
 
-// convScratch is a pooled block of len(from) stage-1 rows backed by one
-// contiguous buffer.
+// convScratch is a pooled block of len(from) stage-1 rows plus the
+// per-coefficient correction count, backed by one contiguous buffer.
 type convScratch struct {
 	backing []uint64
 	rows    [][]uint64
+	count   []uint64
 }
 
 // NewBasisExtender precomputes the conversion tables from the source to the
@@ -115,9 +121,10 @@ func NewBasisExtender(from, to []*Modulus) (*BasisExtender, error) {
 			maxTo = mt.Q
 		}
 	}
-	// Lazy stage 2 sums nf terms, each below q_src·q_tgt (product plus the
-	// conditional centering correction); verify the worst case fits 128
-	// bits, else keep the per-term reduced loop.
+	// Lazy stage 2 sums nf products y·qh ≤ (q_src-1)(q_tgt-1) and one
+	// correction c·negQ ≤ nf·(q_tgt-1), in all at most nf·q_src·(q_tgt-1)
+	// < nf·q_src·q_tgt; verify that fits 128 bits, else keep the per-term
+	// reduced loop.
 	bound := new(big.Int).SetUint64(maxFrom)
 	bound.Mul(bound, new(big.Int).SetUint64(maxTo))
 	bound.Mul(bound, big.NewInt(int64(len(from))))
@@ -130,15 +137,17 @@ func NewBasisExtender(from, to []*Modulus) (*BasisExtender, error) {
 // stays with the caller, exactly as for Ring.SetEngine.
 func (be *BasisExtender) SetEngine(e *Engine) { be.exec = e }
 
-// getScratch borrows a stage-1 block with nf rows of length n.
+// getScratch borrows a stage-1 block with nf rows and a count row, each of
+// length n.
 func (be *BasisExtender) getScratch(nf, n int) *convScratch {
 	s, _ := be.scratch.Get().(*convScratch)
-	if s == nil || cap(s.backing) < nf*n {
-		s = &convScratch{backing: make([]uint64, nf*n), rows: make([][]uint64, nf)}
+	if s == nil || cap(s.backing) < (nf+1)*n {
+		s = &convScratch{backing: make([]uint64, (nf+1)*n), rows: make([][]uint64, nf)}
 	}
 	for j := 0; j < nf; j++ {
 		s.rows[j] = s.backing[j*n : (j+1)*n : (j+1)*n]
 	}
+	s.count = s.backing[nf*n : (nf+1)*n : (nf+1)*n]
 	return s
 }
 
@@ -147,7 +156,12 @@ func (be *BasisExtender) getScratch(nf, n int) *convScratch {
 //
 // Stage 2 uses the centered representative of each stage-1 residue: when
 // y_j > q_j/2 the term contributes (y_j - q_j)·(Q/q_j) = y_j·(Q/q_j) - Q, so
-// the running sum gets the precomputed correction [-Q]_{p_i}. This makes
+// target limb i gets the correction [-Q]_{p_i} once per such digit. The
+// number of corrections c(k) = #{j : y_j(k) > (q_j-1)/2} is the same for
+// every target limb, so stage 1 counts it (branch-free, from the borrow of
+// (q_j-1)/2 - y_j) and stage 2 adds c(k)·[-Q]_{p_i} once per target
+// coefficient, keeping data-dependent branches out of its inner loop: on
+// uniform digits such a branch mispredicts about half the time. This makes
 // Convert(-x) bit-identical to -Convert(x) (f(q_j - y) = -f(y) exactly for
 // odd q_j), the property the hoisted key-switch relies on to permute
 // decomposed slices instead of re-decomposing permuted ciphertexts.
@@ -159,35 +173,48 @@ func (be *BasisExtender) Convert(in, out [][]uint64) {
 	n := len(in[0])
 	scratch := be.getScratch(nf, n)
 	stage1 := scratch.rows[:nf]
-	// Stage 1: y_j = [x_j * (Q/q_j)^-1]_{q_j}, sharded over source limbs ×
-	// coefficient blocks (each task writes a disjoint segment of one row).
-	// The input residues are in M-form and qhatInv is plain, so the fused
-	// REDC strips the R factor and the digits come out as true residues.
-	be.exec.RunBlocks(nf, n, func(j, lo, hi int) {
-		mr := be.from[j].MRed
-		w := be.qhatInv[j]
-		row := stage1[j][lo:hi:hi]
-		src := in[j][lo:hi:hi]
-		src = src[:len(row)]
-		for k := range row {
-			row[k] = mr.Mul(src[k], w)
+	count := scratch.count
+	// Stage 1: y_j = [x_j * (Q/q_j)^-1]_{q_j} and the correction count c,
+	// sharded over coefficient blocks (each task runs every source limb of
+	// its block, so it owns that block of c). The input residues are in
+	// M-form and qhatInv is plain, so the fused REDC strips the R factor and
+	// the digits come out as true residues.
+	be.exec.RunBlocks(1, n, func(_, lo, hi int) {
+		cnt := count[lo:hi:hi]
+		for k := range cnt {
+			cnt[k] = 0
+		}
+		for j := 0; j < nf; j++ {
+			mr := be.from[j].MRed
+			w := be.qhatInv[j]
+			halfJ := be.halfFrom[j]
+			row := stage1[j][lo:hi:hi]
+			src := in[j][lo:hi:hi]
+			src = src[:len(row)]
+			c := cnt[:len(row)]
+			for k := range row {
+				y := mr.Mul(src[k], w)
+				row[k] = y
+				_, above := bits.Sub64(halfJ, y, 0)
+				c[k] += above
+			}
 		}
 	})
-	// Stage 2: out_i = Σ_j f(y_j) * [Q/q_j]_{p_i} (coefficient-wise MAC),
-	// sharded over target limbs × coefficient blocks; every task reads the
-	// same coefficient range of all stage-1 rows, and the barrier between
-	// the two RunBlocks calls is the stage-1/stage-2 dependency. The MAC
-	// iterates source limb outer, coefficient inner, folding each stage-1
-	// row into a pooled per-task accumulator block: every slice is walked
-	// contiguously with a shared induction variable, so the inner loops
-	// carry no bounds checks (the coefficient-outer form paid five per
-	// term). Normally the sum is accumulated lazily in 128 bits per
-	// coefficient (planar: low words then high words) and reduced once
+	// Stage 2: out_i = Σ_j y_j * [Q/q_j]_{p_i} + c * [-Q]_{p_i} (coefficient-
+	// wise MAC), sharded over target limbs × coefficient blocks; every task
+	// reads the same coefficient range of all stage-1 rows, and the barrier
+	// between the two RunBlocks calls is the stage-1/stage-2 dependency. The
+	// MAC iterates source limbs outer, coefficient inner, folding stage-1
+	// rows into a pooled per-task accumulator block: every slice is
+	// walked contiguously with a shared induction variable, so the inner
+	// loops carry no bounds checks and no branches. Normally the sum is
+	// accumulated lazily in 128 bits per coefficient (planar: low words then
+	// high words, seeded with the correction c·[-Q]_{p_i}) and reduced once
 	// (mod.Reduce128 takes arbitrary 128-bit inputs; lazyStage2 certifies
-	// the worst case cannot overflow), which produces the same canonical
-	// residues as a chain of reduced adds at a fraction of the cost —
-	// 128-bit accumulation is exact, so the summation order is immaterial;
-	// pathologically wide bases take the reduced per-term path.
+	// the worst case cannot overflow). 128-bit accumulation is exact, so the
+	// summation order is immaterial and the result is the canonical residue
+	// of the centered sum; pathologically wide bases take the reduced
+	// per-term path, which adds the same correction once per coefficient.
 	be.exec.RunBlocks(nt, n, func(i, lo, hi int) {
 		br := be.to[i].BRed
 		qi := be.to[i].Q
@@ -199,30 +226,46 @@ func (be *BasisExtender) Convert(in, out [][]uint64) {
 			bp = &b
 		}
 		buf := (*bp)[:cap(*bp)]
+		cnt := count[lo:hi:hi]
+		dst := out[i][lo:hi:hi]
 		if be.lazyStage2 {
 			aLo := buf[0:w:w]
 			aHi := buf[w : 2*w : 2*w]
 			aHi = aHi[:len(aLo)]
+			cnt = cnt[:len(aLo)]
 			for k := range aLo {
-				aLo[k], aHi[k] = 0, 0
+				aHi[k], aLo[k] = bits.Mul64(cnt[k], negQ)
 			}
-			for j := 0; j < nf; j++ {
+			// Two source rows per sweep halve the accumulator traffic;
+			// an odd last row takes the one-row sweep.
+			j := 0
+			for ; j+1 < nf; j += 2 {
+				y0 := stage1[j][lo:hi:hi]
+				y1 := stage1[j+1][lo:hi:hi]
+				q0 := be.qhatTo[j][i]
+				q1 := be.qhatTo[j+1][i]
+				y0 = y0[:len(aLo)]
+				y1 = y1[:len(aLo)]
+				for k := range aLo {
+					h0, l0 := bits.Mul64(y0[k], q0)
+					h1, l1 := bits.Mul64(y1[k], q1)
+					l, c0 := bits.Add64(aLo[k], l0, 0)
+					l, c1 := bits.Add64(l, l1, 0)
+					aLo[k] = l
+					aHi[k] += h0 + h1 + c0 + c1
+				}
+			}
+			if j < nf {
 				y := stage1[j][lo:hi:hi]
 				qh := be.qhatTo[j][i]
-				halfJ := be.halfFrom[j]
 				y = y[:len(aLo)]
 				for k := range y {
 					pHi, pLo := bits.Mul64(y[k], qh)
 					var c uint64
-					if y[k] > halfJ {
-						pLo, c = bits.Add64(pLo, negQ, 0)
-						pHi += c
-					}
 					aLo[k], c = bits.Add64(aLo[k], pLo, 0)
 					aHi[k] += pHi + c
 				}
 			}
-			dst := out[i][lo:hi:hi]
 			dst = dst[:len(aLo)]
 			for k := range dst {
 				dst[k] = br.Reduce128(aHi[k], aLo[k])
@@ -231,27 +274,20 @@ func (be *BasisExtender) Convert(in, out [][]uint64) {
 			return
 		}
 		acc := buf[0:w:w]
+		cnt = cnt[:len(acc)]
 		for k := range acc {
-			acc[k] = 0
+			acc[k] = br.Mul(cnt[k], negQ)
 		}
 		for j := 0; j < nf; j++ {
 			y := stage1[j][lo:hi:hi]
 			qh := be.qhatTo[j][i]
-			halfJ := be.halfFrom[j]
 			y = y[:len(acc)]
 			for k := range y {
-				v := br.Mul(y[k], qh)
-				if y[k] > halfJ {
-					v = mod.Add(v, negQ, qi)
-				}
-				acc[k] = mod.Add(acc[k], v, qi)
+				acc[k] = mod.Add(acc[k], br.Mul(y[k], qh), qi)
 			}
 		}
-		dst := out[i][lo:hi:hi]
 		dst = dst[:len(acc)]
-		for k := range dst {
-			dst[k] = acc[k]
-		}
+		copy(dst, acc)
 		be.accPool.Put(bp)
 	})
 	be.scratch.Put(scratch)

@@ -2,7 +2,6 @@ package ring
 
 import (
 	"fmt"
-	"math/big"
 	"math/rand"
 	"testing"
 
@@ -152,99 +151,49 @@ func TestMontgomeryKernelsBitIdenticalToBarrett(t *testing.T) {
 
 // TestBasisExtenderBitIdenticalAcrossEngines pins BConv to a serial big.Int
 // implementation of the exact centered formula, for M-form inputs and
-// outputs, under every engine shape.
+// outputs, under every engine shape. Besides uniform residues, the inputs
+// carry boundary rows whose stage-1 digits sit on the centering threshold
+// (see bconvBoundaryInputs), and the shapes include a key-switch-like
+// 13→13 conversion.
 func TestBasisExtenderBitIdenticalAcrossEngines(t *testing.T) {
-	const logN = 5
-	primesQ, err := mod.GenerateNTTPrimes(45, logN, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	primesP, err := mod.GenerateNTTPrimes(46, logN, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rQ, err := NewRing(logN, primesQ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rP, err := NewRing(logN, primesP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const logN = 6
 	n := 1 << logN
-
-	// True-residue inputs.
-	rng := rand.New(rand.NewSource(5))
-	xTrue := make([][]uint64, len(primesQ))
-	for j, q := range primesQ {
-		xTrue[j] = make([]uint64, n)
-		for k := range xTrue[j] {
-			xTrue[j][k] = rng.Uint64() % q
-		}
-	}
-
-	// Reference: y_j = x_j·(Q/q_j)^-1 mod q_j, out_i = Σ_j f(y_j)·(Q/q_j)
-	// mod p_i with the centered f.
-	bigQ := big.NewInt(1)
-	for _, q := range primesQ {
-		bigQ.Mul(bigQ, new(big.Int).SetUint64(q))
-	}
-	want := make([][]uint64, len(primesP))
-	for i, p := range primesP {
-		want[i] = make([]uint64, n)
-		pb := new(big.Int).SetUint64(p)
-		for k := 0; k < n; k++ {
-			acc := new(big.Int)
-			for j, q := range primesQ {
-				qb := new(big.Int).SetUint64(q)
-				qhat := new(big.Int).Quo(bigQ, qb)
-				inv := new(big.Int).ModInverse(new(big.Int).Mod(qhat, qb), qb)
-				y := new(big.Int).Mul(new(big.Int).SetUint64(xTrue[j][k]), inv)
-				y.Mod(y, qb)
-				if y.Uint64() > q>>1 {
-					y.Sub(y, qb) // centered representative
-				}
-				acc.Add(acc, y.Mul(y, qhat))
-			}
-			want[i][k] = new(big.Int).Mod(acc, pb).Uint64()
-		}
-	}
-
-	for _, cfg := range identityConfigs {
-		e := NewEngine(cfg.workers)
-		if cfg.block > 0 {
-			e.SetBlockSize(cfg.block)
-		}
-		be, err := NewBasisExtender(rQ.Moduli, rP.Moduli)
+	for _, s := range []struct {
+		nf, nt           int
+		logQFrom, logQTo int
+	}{
+		{3, 2, 45, 46},
+		{4, 3, 45, 46}, // even nf: stage 2 sweeps source rows in pairs only
+		{13, 13, 45, 55},
+	} {
+		primesQ, err := mod.GenerateNTTPrimes(s.logQFrom, logN, s.nf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		be.SetEngine(e)
-
-		// M-form inputs, as ModUp presents them.
-		in := make([][]uint64, len(primesQ))
-		for j := range in {
-			mr := rQ.Moduli[j].MRed
-			in[j] = make([]uint64, n)
-			for k := range in[j] {
-				in[j][k] = mr.MForm(xTrue[j][k])
+		primesP, err := mod.GenerateNTTPrimes(s.logQTo, logN, s.nt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		from, to := bconvModuli(primesQ), bconvModuli(primesP)
+		xTrue := bconvBoundaryInputs(rand.New(rand.NewSource(5)), primesQ, n)
+		want := bconvOracle(primesQ, primesP, xTrue)
+		in := bconvMForm(from, xTrue) // M-form inputs, as ModUp presents them
+		for _, cfg := range identityConfigs {
+			e := NewEngine(cfg.workers)
+			if cfg.block > 0 {
+				e.SetBlockSize(cfg.block)
 			}
-		}
-		out := make([][]uint64, len(primesP))
-		for i := range out {
-			out[i] = make([]uint64, n)
-		}
-		be.Convert(in, out)
-		for i := range out {
-			mr := rP.Moduli[i].MRed
-			for k := range out[i] {
-				if got := mr.IForm(out[i][k]); got != want[i][k] {
-					t.Fatalf("workers=%d block=%d: target limb %d coeff %d: got %d want %d",
-						cfg.workers, cfg.block, i, k, got, want[i][k])
-				}
+			be, err := NewBasisExtender(from, to)
+			if err != nil {
+				t.Fatal(err)
 			}
+			be.SetEngine(e)
+			out := bconvRows(s.nt, n)
+			be.Convert(in, out)
+			bconvCheck(t, fmt.Sprintf("%d→%d workers=%d block=%d", s.nf, s.nt, cfg.workers, cfg.block),
+				to, out, want)
+			e.Close()
 		}
-		e.Close()
 	}
 }
 
