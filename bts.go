@@ -54,8 +54,10 @@
 // the encoder's butterfly-group factorization, dft.go) instead of dense
 // slots×slots matrices, spending ~1.8× fewer key-switch ops and ~2.2×
 // fewer rotation keys at equal precision for one extra level per
-// transform. `btsbench -experiment hoisting` and `-experiment bootstrap`
-// report the measured speedups and CI archives both as the repo's
+// transform. This factored, double-hoisted pipeline is the library's only
+// transform path; the eager BSGS and dense-matrix forms survive as test
+// oracles that pin it. `btsbench -experiment hoisting` reports the measured
+// rotation speedup and CI archives it as part of the repo's
 // perf-trajectory record.
 //
 // # Montgomery ring core

@@ -2,7 +2,7 @@
 // evaluation section and prints them as text tables (the same rows the root
 // benchmark harness reports). Usage:
 //
-//	btsbench [-experiment all|table1|fig1|fig2|fig3b|table3|table4|fig6|fig7|fig8|fig9|fig10|table5|table6|slowdown|speedup|hoisting|sharding|bootstrap|table2|serve|dag] [-workers N]
+//	btsbench [-experiment all|table1|fig1|fig2|fig3b|table3|table4|fig6|fig7|fig8|fig9|fig10|table5|table6|slowdown|speedup|hoisting|sharding|table2|serve|dag] [-workers N]
 //	         [-clients K] [-duration 5s] [-full] [-cpuprofile f] [-memprofile f]
 //
 // Several experiments are special: instead of replaying the paper's model
@@ -13,12 +13,11 @@
 // then on the limb-parallel execution engine with -workers goroutines,
 // reporting the measured serial-vs-parallel speedup curve.
 //
-// The hoisting experiment compares naive per-rotation key-switching against
-// the hoisted/double-hoisted pipeline on a CoeffToSlot-sized BSGS linear
-// transform and a full small-N bootstrap, printing a JSON report (archived
-// by CI as BENCH_hoisting.json) and exiting non-zero if hoisted rotations
-// are not bit-identical, precision leaves the budget, or the transform
-// speedup falls under 2x.
+// The hoisting experiment times naive per-rotation key-switching against
+// hoisted rotations of one ciphertext and reports the measured baby/giant
+// cost ratio that the BSGS split weight approximates, printing a JSON report
+// (archived by CI as BENCH_hoisting.json) and exiting non-zero if hoisted
+// rotations are not bit-identical to Rotate.
 //
 // The sharding experiment measures the 2-D (limb × coefficient-block)
 // sharded dispatch against pure limb-parallel dispatch on low-level
@@ -29,22 +28,12 @@
 // has 2x of parallel headroom (limbs ≤ cores/2 — all of level ≤ 3 on an
 // 8-core host).
 //
-// The bootstrap experiment compares the factored (two-stage radix)
-// CoeffToSlot/SlotToCoeff bootstrap pipeline against the dense single-stage
-// reference on the LogN=10 boot instance — rotation-key footprint, measured
-// key-switch op counts (hoisted rotations tallied separately from full
-// key-switches), end-to-end wall time and output precision — plus the
-// internal/sim calibration cross-check of the measured op mix. It prints a
-// JSON report (archived by CI as BENCH_bootstrap.json) and exits non-zero if
-// either pipeline leaves the precision budget, the staged pipeline spends
-// fewer than 1.5x fewer key-switch ops, or it is not measurably faster end
-// to end.
-//
 // The table2 experiment measures the Montgomery-domain ring core against the
 // retained Barrett reference kernels, the fused radix-4 NTT/iNTT row kernels
 // against the per-stage radix-2 kernels they replaced (single-threaded, with
 // ns/butterfly and effective GB/s per transform), and runs the S=3 factored
-// bootstrap followed by a 1/2/4/8-worker scaling table (-scaling=false skips
+// bootstrap, with the internal/sim calibration cross-check of its measured
+// op mix, followed by a 1/2/4/8-worker scaling table (-scaling=false skips
 // the scaling re-runs). It prints a JSON report (archived by CI as
 // BENCH_table2.json) and exits non-zero if the geomean Montgomery speedup
 // misses 1.3x, the fused radix-4 geomean misses its floor (1.25x full, 1.05x
@@ -155,10 +144,6 @@ func main() {
 	}
 	if *which == "sharding" {
 		sharding(*workers)
-		ran = true
-	}
-	if *which == "bootstrap" {
-		bootstrapBench(*workers)
 		ran = true
 	}
 	if *which == "table2" {

@@ -267,8 +267,7 @@ func runTable2Bench(workers int, full, scaling bool) (*table2Report, error) {
 	enc := ckks.NewEncryptorSK(ctx, sk, 9302)
 	dec := ckks.NewDecryptor(ctx, sk)
 
-	// Probe bootstrapper only to learn the staged rotation set (the dense
-	// oracle stays unbuilt — prohibitive at 2^16 slots).
+	// Probe bootstrapper only to learn the staged rotation set.
 	probe := ckks.NewEvaluator(ctx, encoder, rlk, nil)
 	bt0, err := ckks.NewBootstrapper(ctx, encoder, probe, bp)
 	if err != nil {

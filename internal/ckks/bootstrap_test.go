@@ -175,6 +175,48 @@ func TestLinearTransformErrors(t *testing.T) {
 // functional verification only).
 func bootSetup(t testing.TB) (*testSetup, *Bootstrapper) {
 	t.Helper()
+	s, bt, _ := bootSetupDense(t)
+	return s, bt
+}
+
+// bootSetupDense is bootSetup that also returns the dense single-stage
+// oracle; the evaluator holds rotation keys for both.
+func bootSetupDense(t testing.TB) (*testSetup, *Bootstrapper, *denseBootOracle) {
+	t.Helper()
+	params, ctx := bootContext(t)
+	kg := NewKeyGenerator(ctx, 7001)
+	sk := kg.GenSecretKey()
+	rlk := kg.GenRelinearizationKey(sk)
+	encoder := NewEncoder(ctx)
+
+	// Build the bootstrapper twice: first keyless to learn the rotations.
+	probe := NewEvaluator(ctx, encoder, rlk, nil)
+	bt0, err := NewBootstrapper(ctx, encoder, probe, DefaultBootstrapParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One key set covers the stage chains and the dense oracle.
+	dense, err := newDenseBootOracle(bt0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtks := kg.GenRotationKeys(sk, dedupRotations(bt0.Rotations(), dense.Rotations()), true)
+	eval := NewEvaluator(ctx, encoder, rlk, rtks)
+	bt, err := NewBootstrapper(ctx, encoder, eval, DefaultBootstrapParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &testSetup{
+		params: params, ctx: ctx, encoder: encoder, kg: kg, sk: sk,
+		rlk: rlk, enc: NewEncryptorSK(ctx, sk, 7002), dec: NewDecryptor(ctx, sk), eval: eval,
+	}
+	return s, bt, dense
+}
+
+// bootContext builds the LogN=10 bootstrappable toy parameters (L=14,
+// dnum=2) and a context over them.
+func bootContext(t testing.TB) (Parameters, *Context) {
+	t.Helper()
 	logQ := []int{55}
 	for i := 0; i < 14; i++ {
 		logQ = append(logQ, 45)
@@ -194,30 +236,7 @@ func bootSetup(t testing.TB) (*testSetup, *Bootstrapper) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kg := NewKeyGenerator(ctx, 7001)
-	sk := kg.GenSecretKey()
-	rlk := kg.GenRelinearizationKey(sk)
-	encoder := NewEncoder(ctx)
-
-	// Build the bootstrapper twice: first keyless to learn the rotations.
-	probe := NewEvaluator(ctx, encoder, rlk, nil)
-	bt0, err := NewBootstrapper(ctx, encoder, probe, DefaultBootstrapParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// AllRotations covers both the staged default path and the dense
-	// reference, so tests can toggle SetDenseTransforms on one key set.
-	rtks := kg.GenRotationKeys(sk, bt0.AllRotations(), true)
-	eval := NewEvaluator(ctx, encoder, rlk, rtks)
-	bt, err := NewBootstrapper(ctx, encoder, eval, DefaultBootstrapParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &testSetup{
-		params: params, ctx: ctx, encoder: encoder, kg: kg, sk: sk,
-		rlk: rlk, enc: NewEncryptorSK(ctx, sk, 7002), dec: NewDecryptor(ctx, sk), eval: eval,
-	}
-	return s, bt
+	return params, ctx
 }
 
 func TestBootstrapRoundTrip(t *testing.T) {
@@ -278,9 +297,9 @@ func TestBootstrapParamsBudget(t *testing.T) {
 	if got := bp.MinLevels(); got != 13 {
 		t.Fatalf("MinLevels=%d want 13 (2-stage CtS + 1 norm + 7 EvalMod + 2-stage StC + 1 margin)", got)
 	}
-	dense := BootstrapParams{K: bp.K, SineDegree: bp.SineDegree}
-	if got := dense.MinLevels(); got != 12 {
-		t.Fatalf("dense MinLevels=%d want 12 (2 CtS + 1 norm + 7 EvalMod + 1 StC + 1 rescale)", got)
+	single := BootstrapParams{K: bp.K, SineDegree: bp.SineDegree, CtSStages: 1, StCStages: 1}
+	if got := single.MinLevels(); got != 11 {
+		t.Fatalf("1+1-stage MinLevels=%d want 11 (1-stage CtS + 1 norm + 7 EvalMod + 1-stage StC + 1 margin)", got)
 	}
 	// A chain shorter than the budget must be rejected.
 	params, err := NewParameters(ParametersLiteral{

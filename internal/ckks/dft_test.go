@@ -277,8 +277,7 @@ func TestBootstrapLevelBudget(t *testing.T) {
 		ctsStages, stcStages int
 		wantMin              int
 	}{
-		{0, 0, 12}, // dense only
-		{1, 1, 12}, // staged min 11, but the dense oracle is built too
+		{1, 1, 11},
 		{2, 2, 13},
 		{2, 3, 14},
 		{3, 3, 15},
@@ -297,32 +296,33 @@ func TestBootstrapLevelBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stages (%d,%d): unexpected error at L=%d: %v", tc.ctsStages, tc.stcStages, tc.wantMin, err)
 		}
-		if bp.Staged() {
-			cts, stc := bt.Chains()
-			if cts.Depth() != tc.ctsStages || stc.Depth() != tc.stcStages {
-				t.Fatalf("stages (%d,%d): chain depths %d/%d", tc.ctsStages, tc.stcStages, cts.Depth(), stc.Depth())
-			}
-			if stc.OutputLevel() < 1 {
-				t.Fatalf("stages (%d,%d): SlotToCoeff output level %d", tc.ctsStages, tc.stcStages, stc.OutputLevel())
-			}
+		cts, stc := bt.Chains()
+		if cts.Depth() != tc.ctsStages || stc.Depth() != tc.stcStages {
+			t.Fatalf("stages (%d,%d): chain depths %d/%d", tc.ctsStages, tc.stcStages, cts.Depth(), stc.Depth())
+		}
+		if stc.OutputLevel() < 1 {
+			t.Fatalf("stages (%d,%d): SlotToCoeff output level %d", tc.ctsStages, tc.stcStages, stc.OutputLevel())
 		}
 	}
-	// Half-staged and over-deep configurations are rejected.
+	// Unstaged, half-staged and over-deep configurations are rejected.
 	ctx, enc, ev := newCtx(15)
-	if _, err := NewBootstrapper(ctx, enc, ev, BootstrapParams{K: 6, SineDegree: 63, CtSStages: 2}); err == nil {
-		t.Fatal("expected error for CtSStages>0 with StCStages=0")
+	for _, st := range [][2]int{{0, 0}, {2, 0}, {0, 2}} {
+		bp := BootstrapParams{K: 6, SineDegree: 63, CtSStages: st[0], StCStages: st[1]}
+		if _, err := NewBootstrapper(ctx, enc, ev, bp); err == nil {
+			t.Fatalf("expected error for stages (%d,%d)", st[0], st[1])
+		}
 	}
 	if _, err := enc.EncodeDFTStages(DFTInverse, 10, 14, 1); err == nil {
 		t.Fatal("expected error for more stages than radix layers")
 	}
 }
 
-// TestBootstrapStagedMatchesDense is the tentpole equivalence check: the
-// staged pipeline must decrypt to the same plaintext as the dense reference
-// within the existing precision budget — at several worker/block
-// configurations (run under -race in CI) — while spending ≥1.5× fewer
-// key-switch operations (measured by the evaluator's op counters, the same
-// metric the bootstrap-bench CI gate enforces).
+// TestBootstrapStagedMatchesDense is the staged ≡ dense equivalence check:
+// the staged pipeline must decrypt to the same plaintext as the dense
+// single-stage oracle within the existing precision budget — at several
+// worker/block configurations (run under -race in CI) — while spending
+// ≥1.5× fewer key-switch operations (measured by the evaluator's op
+// counters).
 func TestBootstrapStagedMatchesDense(t *testing.T) {
 	if testing.Short() {
 		t.Skip("staged-vs-dense bootstrap comparison is expensive; skipped with -short")
@@ -333,7 +333,7 @@ func TestBootstrapStagedMatchesDense(t *testing.T) {
 		{0, 0},  // serial
 		{4, 64}, // limb × coefficient-block sharded
 	} {
-		s, bt := bootSetup(t)
+		s, bt, oracle := bootSetupDense(t)
 		s.ctx.SetWorkers(cfg.workers)
 		if cfg.block > 0 {
 			s.ctx.SetBlockSize(cfg.block)
@@ -351,14 +351,12 @@ func TestBootstrapStagedMatchesDense(t *testing.T) {
 		}
 		stagedOps := s.eval.Counters()
 
-		bt.SetDenseTransforms(true)
 		s.eval.ResetCounters()
-		dense, err := bt.Bootstrap(ct)
+		dense, err := oracle.bootstrap(bt, s.eval, ct)
 		if err != nil {
 			t.Fatal(err)
 		}
 		denseOps := s.eval.Counters()
-		bt.SetDenseTransforms(false)
 
 		stagedVals := s.encoder.Decode(s.dec.DecryptNew(staged))
 		denseVals := s.encoder.Decode(s.dec.DecryptNew(dense))

@@ -31,10 +31,6 @@ type Evaluator struct {
 	rlk     *SwitchingKey
 	rtks    *RotationKeySet
 
-	// eagerTransforms routes LinearTransform through the reference
-	// one-key-switch-per-rotation path instead of the hoisted pipeline.
-	eagerTransforms bool
-
 	// counters tallies the op mix for the internal/sim calibration
 	// cross-check and the serving op-mix export (see counters.go). It is a
 	// pointer so WithTrace/WithNoiseFloor copies keep feeding one tally.
@@ -60,13 +56,6 @@ func NewEvaluator(ctx *Context, encoder *Encoder, rlk *SwitchingKey, rtks *Rotat
 }
 
 func (ev *Evaluator) params() Parameters { return ev.ctx.Params }
-
-// SetEagerTransforms selects the reference (non-hoisted) LinearTransform
-// path when eager is true — one full key-switch per baby-step rotation and
-// one ModDown per diagonal product. It exists so benchmarks and error-budget
-// tests can compare against the hoisted pipeline; leave it off otherwise.
-// Must not be toggled concurrently with evaluation.
-func (ev *Evaluator) SetEagerTransforms(eager bool) { ev.eagerTransforms = eager }
 
 // alignLevels returns min(ct0.Level, ct1.Level).
 func alignLevels(ct0, ct1 *Ciphertext) int {

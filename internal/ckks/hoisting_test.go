@@ -108,9 +108,7 @@ func TestLinearTransformHoistedPrecision(t *testing.T) {
 	}
 
 	hoisted := s.eval.Rescale(s.eval.LinearTransform(ct, lt))
-	s.eval.SetEagerTransforms(true)
-	eager := s.eval.Rescale(s.eval.LinearTransform(ct, lt))
-	s.eval.SetEagerTransforms(false)
+	eager := s.eval.Rescale(linearTransformEager(s.eval, ct, lt))
 
 	errHoisted := maxErr(s.encoder.Decode(s.dec.DecryptNew(hoisted)), want)
 	errEager := maxErr(s.encoder.Decode(s.dec.DecryptNew(eager)), want)
@@ -120,6 +118,73 @@ func TestLinearTransformHoistedPrecision(t *testing.T) {
 	}
 	if errHoisted > 2*errEager+1e-9 {
 		t.Fatalf("hoisted transform error %g worse than eager %g beyond jitter", errHoisted, errEager)
+	}
+}
+
+// TestLinearTransformHoistedDecompositions checks the hoisting economy on a
+// CoeffToSlot-sized transform: a dense random slots×slots matrix (all 512
+// diagonals, as CoeffToSlot in single-stage form) at the LogN=10 bootstrap
+// instance's parameters. The eager oracle runs one key-switch decomposition
+// per baby and per giant rotation; the hoisted path shares one decomposition
+// across the baby steps, so it must decompose at least 2× less. Every full
+// rotation decomposes inside its own key-switch, while Counters().Decompose
+// counts only shared decompositions, so both count Decompose + FullRot.
+func TestLinearTransformHoistedDecompositions(t *testing.T) {
+	params, ctx := bootContext(t)
+	defer ctx.Close()
+	kg := NewKeyGenerator(ctx, 9001)
+	sk := kg.GenSecretKey()
+	encoder := NewEncoder(ctx)
+	enc := NewEncryptorSK(ctx, sk, 9002)
+	dec := NewDecryptor(ctx, sk)
+
+	n := params.Slots()
+	rng := rand.New(rand.NewSource(9003))
+	values := randomComplex(rng, n, 1)
+	lvl := params.MaxLevel()
+	pt, _ := encoder.Encode(values, lvl, params.Scale)
+	ct, err := enc.EncryptNew(pt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags := map[int][]complex128{}
+	for k := 0; k < n; k++ {
+		d := randomComplex(rng, n, 1)
+		for j := range d {
+			d[j] /= complex(float64(n), 0)
+		}
+		diags[k] = d
+	}
+	lt, err := NewLinearTransform(encoder, diags, lvl, float64(params.Q[lvl]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := NewEvaluator(ctx, encoder, nil, kg.GenRotationKeys(sk, lt.Rotations(), false))
+	want := make([]complex128, n)
+	for j := 0; j < n; j++ {
+		for k := 0; k < n; k++ {
+			want[j] += diags[k][j] * values[(j+k)%n]
+		}
+	}
+
+	decompositions := func(c OpCounters) int64 { return c.Decompose + c.FullRot }
+	eval.ResetCounters()
+	hoisted := eval.Rescale(eval.LinearTransform(ct, lt))
+	hoistedOps := eval.Counters()
+	eval.ResetCounters()
+	eager := eval.Rescale(linearTransformEager(eval, ct, lt))
+	eagerOps := eval.Counters()
+
+	errHoisted := maxErr(encoder.Decode(dec.DecryptNew(hoisted)), want)
+	errEager := maxErr(encoder.Decode(dec.DecryptNew(eager)), want)
+	ratio := float64(decompositions(eagerOps)) / float64(decompositions(hoistedOps))
+	t.Logf("%d diags, n1=%d: decompositions eager %d, hoisted %d (ratio %.2f); err hoisted %.3g, eager %.3g",
+		n, lt.N1(), decompositions(eagerOps), decompositions(hoistedOps), ratio, errHoisted, errEager)
+	if ratio < 2 {
+		t.Fatalf("hoisted transform decomposes only %.2fx less than eager, want >= 2x", ratio)
+	}
+	if errHoisted > 1e-3 {
+		t.Fatalf("hoisted transform error %g above budget", errHoisted)
 	}
 }
 
@@ -146,7 +211,7 @@ func TestLinearTransformN1Override(t *testing.T) {
 		}
 	}
 	for _, n1 := range []int{1, 2, 8, 16} {
-		lt, err := NewLinearTransformN1(s.encoder, diags, lvl, float64(s.params.Q[lvl]), n1)
+		lt, err := newLinearTransformN1(s.encoder, diags, lvl, float64(s.params.Q[lvl]), n1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +221,7 @@ func TestLinearTransformN1Override(t *testing.T) {
 		}
 		s.ctx.PutCiphertext(out)
 	}
-	if _, err := NewLinearTransformN1(s.encoder, diags, lvl, float64(s.params.Q[lvl]), 3); err == nil {
+	if _, err := newLinearTransformN1(s.encoder, diags, lvl, float64(s.params.Q[lvl]), 3); err == nil {
 		t.Fatal("expected error for non-power-of-two n1")
 	}
 }
@@ -215,7 +280,7 @@ func TestLinearTransformChunkedLazyMAC(t *testing.T) {
 		diags[k] = d
 	}
 	// n1 = slots puts every diagonal in one giant group (> budget terms).
-	lt, err := NewLinearTransformN1(encoder, diags, lvl, float64(params.Q[lvl]), n)
+	lt, err := newLinearTransformN1(encoder, diags, lvl, float64(params.Q[lvl]), n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +294,7 @@ func TestLinearTransformChunkedLazyMAC(t *testing.T) {
 		}
 	}
 	hoisted := eval.Rescale(eval.LinearTransform(ct, lt))
-	eval.SetEagerTransforms(true)
-	eager := eval.Rescale(eval.LinearTransform(ct, lt))
+	eager := eval.Rescale(linearTransformEager(eval, ct, lt))
 	errHoisted := maxErr(encoder.Decode(dec.DecryptNew(hoisted)), want)
 	errEager := maxErr(encoder.Decode(dec.DecryptNew(eager)), want)
 	t.Logf("chunked transform (budget %d, %d diags): hoisted err %.3g, eager err %.3g", budget, n, errHoisted, errEager)
@@ -242,9 +306,11 @@ func TestLinearTransformChunkedLazyMAC(t *testing.T) {
 	}
 }
 
-// TestBootstrapHoistedRegression runs the full small-N bootstrap through
-// both transform paths: the hoisted pipeline must restore the same levels
-// and be no less precise than the eager reference beyond noise jitter.
+// TestBootstrapHoistedRegression runs the full small-N bootstrap with the
+// bootstrapper's own CtS/StC chains evaluated stage by stage on both paths
+// (ev.TransformChain vs the eager oracle): the hoisted pipeline must restore
+// the same levels and be no less precise than the eager reference beyond
+// noise jitter.
 func TestBootstrapHoistedRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full bootstrap comparison is expensive; skipped with -short")
@@ -264,9 +330,7 @@ func TestBootstrapHoistedRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.eval.SetEagerTransforms(true)
-	eager, err := bt.Bootstrap(ct)
-	s.eval.SetEagerTransforms(false)
+	eager, err := bootstrapEager(bt, s.eval, ct)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,16 +33,15 @@ type LinearTransform struct {
 // (diags[k][j] = M[j][(j+k) mod slots]) at the given level and plaintext
 // scale. Slots must equal the parameter slot count; zero diagonals may be
 // omitted from the map. The baby-step count n1 is chosen by the hoisted
-// cost model (see bsgsSplit); use NewLinearTransformN1 to pin it explicitly.
+// cost model (see bsgsSplit).
 func NewLinearTransform(enc *Encoder, diags map[int][]complex128, level int, scale float64) (*LinearTransform, error) {
-	return NewLinearTransformN1(enc, diags, level, scale, 0)
+	return newLinearTransformN1(enc, diags, level, scale, 0)
 }
 
-// NewLinearTransformN1 is NewLinearTransform with an explicit baby-step
+// newLinearTransformN1 is NewLinearTransform with an explicit baby-step
 // count n1 (a power of two ≤ slots); n1 = 0 selects the cost-model split.
-// Pinning n1 is the experimentation knob for the hoisting cost model — see
-// `btsbench -experiment hoisting`.
-func NewLinearTransformN1(enc *Encoder, diags map[int][]complex128, level int, scale float64, n1 int) (*LinearTransform, error) {
+// Tests pin n1 to check that the result is split-invariant.
+func newLinearTransformN1(enc *Encoder, diags map[int][]complex128, level int, scale float64, n1 int) (*LinearTransform, error) {
 	n := enc.Slots()
 	if len(diags) == 0 {
 		return nil, fmt.Errorf("ckks: linear transform with no diagonals")
@@ -90,8 +89,7 @@ func NewLinearTransformN1(enc *Encoder, diags map[int][]complex128, level int, s
 // (an NTT-domain permutation + MAC against the shared decomposition). The
 // value is a host-measured round figure — `btsbench -experiment hoisting`
 // reports the live ratio — and only steers the BSGS split, so being off by
-// 2× shifts n1 by at most one power of two. Pin n1 per transform with
-// NewLinearTransformN1 to experiment with other splits.
+// 2× shifts n1 by at most one power of two.
 const giantStepCost = 8.0
 
 // bsgsSplit picks the baby-step count n1 (a power of two) minimizing the
@@ -204,14 +202,8 @@ func (lt *LinearTransform) byGiantStep() (byGiant map[int][]int, giants []int, b
 // decomposed once, each baby step costs a slice permutation + MAC kept in
 // the extended QP basis, every diagonal is folded in with an element-wise
 // plaintext product there, and each giant step pays a single deferred
-// ModDown per ciphertext component plus one full rotation. The eager
-// reference path (one key-switch per baby step, one ModDown per diagonal
-// group) remains available via LinearTransformEager and the
-// SetEagerTransforms toggle.
+// ModDown per ciphertext component plus one full rotation.
 func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
-	if ev.eagerTransforms || lt.diagsP == nil {
-		return ev.LinearTransformEager(ct, lt)
-	}
 	sp := ev.begin(spanLinear)
 	ctx := ev.ctx
 	rq, rp := ctx.RingQ, ctx.RingP
@@ -397,56 +389,6 @@ func (ev *Evaluator) LinearTransform(ct *Ciphertext, lt *LinearTransform) *Ciphe
 		rq.PutPoly(be.c0)
 	}
 	ev.endSpan(&sp, out)
-	return out
-}
-
-// LinearTransformEager is the reference BSGS evaluation: every baby step is
-// a full naive rotation (its own decomposition) and every diagonal product
-// goes through a ModDown'd ciphertext. It exists for benchmarking and
-// error-budget comparison against the hoisted path; results agree with
-// LinearTransform up to the (smaller) deferred-ModDown rounding noise.
-func (ev *Evaluator) LinearTransformEager(ct *Ciphertext, lt *LinearTransform) *Ciphertext {
-	ctx := ev.ctx
-	byGiant, giants, need := lt.byGiantStep()
-	// Baby-step rotations of the input.
-	babies := map[int]*Ciphertext{}
-	for b := range need {
-		if b == 0 {
-			babies[0] = ct
-		} else {
-			babies[b] = ev.Rotate(ct, b)
-		}
-	}
-
-	var out *Ciphertext
-	for _, g := range giants {
-		var inner *Ciphertext
-		for _, k := range byGiant[g] {
-			term := ev.MulPlain(babies[k%lt.n1], lt.diags[k])
-			if inner == nil {
-				inner = term
-			} else {
-				ev.AddInPlace(inner, term)
-				ctx.PutCiphertext(term)
-			}
-		}
-		if g != 0 {
-			rot := ev.Rotate(inner, g*lt.n1)
-			ctx.PutCiphertext(inner)
-			inner = rot
-		}
-		if out == nil {
-			out = inner
-		} else {
-			ev.AddInPlace(out, inner)
-			ctx.PutCiphertext(inner)
-		}
-	}
-	for b, baby := range babies {
-		if b != 0 {
-			ctx.PutCiphertext(baby)
-		}
-	}
 	return out
 }
 

@@ -39,10 +39,9 @@
 // sparse few-diagonal LinearTransform, chained by a TransformChain with one
 // rescale between stages. Two stages at 2^9 slots turn a 512-diagonal dense
 // matrix into 32+31-diagonal stages — ~1.8× fewer key-switch ops and a
-// ~2.2× smaller rotation-key set for one extra level per transform — with
-// the dense matrices kept as the equivalence oracle
-// (Bootstrapper.SetDenseTransforms). `btsbench -experiment bootstrap`
-// measures both pipelines and CI archives the report.
+// ~2.2× smaller rotation-key set for one extra level per transform. This is
+// the only transform path; the dense matrices and the eager BSGS evaluation
+// live in the package tests as equivalence oracles.
 //
 // # Montgomery ring core
 //

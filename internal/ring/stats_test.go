@@ -1,8 +1,10 @@
 package ring
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"bts/internal/mod"
 	"bts/internal/telemetry"
@@ -28,11 +30,14 @@ func TestEngineStatsCounts(t *testing.T) {
 	if got := st.Tasks.Load(); got != n*reps {
 		t.Fatalf("Tasks = %d, want %d", got, n*reps)
 	}
+	// Helpers leave after their last task, possibly after Run returns: wait
+	// until every recruited helper has left before reading the gauge.
+	waitHelpersLeft(t, e)
+	if busy := st.HelpersBusy.Load(); busy != 0 {
+		t.Fatalf("HelpersBusy = %d after every helper left, want 0", busy)
+	}
 	if stolen := st.StolenTasks.Load(); stolen < 0 || stolen > n*reps {
 		t.Fatalf("StolenTasks = %d, outside [0, %d]", stolen, n*reps)
-	}
-	if busy := st.HelpersBusy.Load(); busy != 0 {
-		t.Fatalf("HelpersBusy = %d after all Runs returned, want 0", busy)
 	}
 
 	// RunBlocks with few rows on a wide pool must record a sharded dispatch.
@@ -53,6 +58,31 @@ func TestEngineStatsCounts(t *testing.T) {
 	}
 	if blocks := st.ShardLastBlocks.Load(); blocks < 2 {
 		t.Fatalf("ShardLastBlocks = %d, want >= 2", blocks)
+	}
+}
+
+// waitHelpersLeft blocks until every helper queued on e so far has run and
+// left. It occupies each worker with a barrier job: the jobs channel is
+// FIFO and a worker runs one job at a time, so once all workers sit in a
+// barrier, every job queued ahead of the barriers has finished.
+func waitHelpersLeft(t *testing.T, e *Engine) {
+	t.Helper()
+	release := make(chan struct{})
+	defer close(release)
+	var arrived sync.WaitGroup
+	arrived.Add(e.workers)
+	all := make(chan struct{})
+	go func() {
+		for i := 0; i < e.workers; i++ {
+			e.jobs <- func() { arrived.Done(); <-release }
+		}
+		arrived.Wait()
+		close(all)
+	}()
+	select {
+	case <-all:
+	case <-time.After(5 * time.Second):
+		t.Fatal("engine workers did not drain their queue within 5s")
 	}
 }
 

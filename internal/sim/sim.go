@@ -16,9 +16,9 @@
 // separately: the ckks evaluator's op counters report full rotations
 // (giants, conjugations) apart from hoisted babies, and the report
 // re-expresses the measured mix in full-key-switch equivalents before
-// comparing against the trace. `btsbench -experiment bootstrap` runs this
-// cross-check against the real LogN=10 software bootstrap and archives it in
-// BENCH_bootstrap.json.
+// comparing against the trace. `btsbench -experiment table2` runs this
+// cross-check against the real S=3 software bootstrap and archives it in
+// BENCH_table2.json.
 //
 // A second calibration caveat arrived with coefficient-block sharding
 // (ring.Engine.RunBlocks): software timings of *low-level* ops (active

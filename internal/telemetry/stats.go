@@ -16,7 +16,11 @@ type EngineStats struct {
 	Tasks, StolenTasks atomic.Int64
 	// HelpersBusy is a point-in-time gauge of helper workers currently
 	// executing tasks (worker occupancy; the caller's own goroutine is not
-	// counted).
+	// counted). A helper leaves — decrementing the gauge and adding its
+	// StolenTasks — after its last task completes, and a helper still queued
+	// when its Run finished enters and leaves later, so the gauge may read
+	// non-zero after Run returns. It drops to 0 once every recruited helper
+	// has left.
 	HelpersBusy atomic.Int64
 	// BlockRuns counts RunBlocks dispatches; ShardedRuns the subset that
 	// actually split rows into >1 coefficient blocks. ShardLastRows and
