@@ -26,10 +26,9 @@
 // bootstrapping's tail), over contiguous coefficient blocks within each
 // residue row — the software analogue of the paper's PE grid distributing
 // both limbs and coefficients (Section 4.1). Full rows run the fused
-// radix-4 NTT kernels as one task each; sharded rows fall back to the
-// per-stage radix-2 schedule with a barrier between stages. A context
-// created by NewScheme
-// runs on a process-wide pool sized to runtime.GOMAXPROCS (snapshotted at
+// radix-4 NTT as one task each; sharded rows run the same radix-4 passes
+// block by block, with a barrier between passes. A context created by
+// NewScheme runs on a process-wide pool sized to runtime.GOMAXPROCS (snapshotted at
 // first use); NewSchemeWorkers (or Context.SetWorkers) picks an explicit
 // worker count, with 0 selecting the serial fallback. Results are
 // bit-identical for every worker count and block configuration, so the
@@ -75,9 +74,9 @@
 // fused radix-4 (merged two-layer) butterflies: twiddle triples precomputed
 // per modulus (mod.FusedNTTTwiddles), four coefficients per butterfly,
 // intermediates on a widened [0, 4q) lazy window with one REDC per multiply
-// — halving the passes over each row relative to the per-stage radix-2
-// kernels, which are retained for the sharded stage-barrier schedule and as
-// the fused kernels' in-family baseline. The pre-Montgomery Barrett kernels
+// — halving the passes over each row relative to a radix-2 network. Both
+// dispatch schedules run these passes; the radix-2 network survives only as
+// a test oracle and benchmark baseline. The pre-Montgomery Barrett kernels
 // are retained as the bit-identity reference (internal/ring/reference.go);
 // `btsbench -experiment table2` measures the per-kernel speedups (including
 // ns/butterfly and effective GB/s for the transforms), runs the N=2^17

@@ -29,20 +29,20 @@
 // 8-core host).
 //
 // The table2 experiment measures the Montgomery-domain ring core against the
-// retained Barrett reference kernels, the fused radix-4 NTT/iNTT row kernels
-// against the per-stage radix-2 kernels they replaced (single-threaded, with
-// ns/butterfly and effective GB/s per transform), and runs the S=3 factored
-// bootstrap, with the internal/sim calibration cross-check of its measured
-// op mix, followed by a 1/2/4/8-worker scaling table (-scaling=false skips
-// the scaling re-runs). It prints a JSON report (archived by CI as
-// BENCH_table2.json) and exits non-zero if the geomean Montgomery speedup
-// misses 1.3x, the fused radix-4 geomean misses its floor (1.25x full, 1.05x
-// smoke), precision leaves the budget at any worker count, no working level
-// remains after refresh, or — full mode on a >= 8-CPU host — the 8-worker
-// bootstrap is not >= 4x faster than the same run's 1-worker row. By default
-// it runs a scaled-down LogN=12 smoke instance; -full selects the real
-// N=2^17 Table 2 paper instance (minutes of runtime, several GiB of keys —
-// the bench workflow's job, not the PR gate's).
+// retained Barrett reference kernels (with ns/butterfly and effective GB/s
+// per transform) and runs the S=3 factored bootstrap, with the internal/sim
+// calibration cross-check of its measured op mix, followed by a
+// 1/2/4/8-worker scaling table (-scaling=false skips the scaling re-runs).
+// It prints a JSON report (archived by CI as BENCH_table2.json) and exits
+// non-zero if the geomean Montgomery speedup misses 1.3x, attached telemetry
+// costs the same kernels more than 2%, precision leaves the budget at any
+// worker count, no working level remains after refresh, or — full mode on a
+// >= 8-CPU host — the 8-worker bootstrap is not >= 4x faster than the same
+// run's 1-worker row. By default it runs a scaled-down LogN=12 smoke
+// instance; -full selects the real N=2^17 Table 2 paper instance (minutes of
+// runtime, several GiB of keys — the bench workflow's job, not the PR
+// gate's). The fused radix-4 transform's wall-clock comparison against the
+// radix-2 network is `go test -bench NTTKernel ./internal/ring`.
 //
 // The -cpuprofile/-memprofile flags write pprof profiles for any experiment
 // (the heap profile is captured after the experiment returns). Profiles are

@@ -18,7 +18,7 @@ import (
 )
 
 // table2Report is the JSON document `-experiment table2` writes to stdout
-// (CI archives it as BENCH_table2.json). It has three halves:
+// (CI archives it as BENCH_table2.json). It has two halves:
 //
 //   - A ring-kernel sweep at the instance's top level comparing the
 //     Montgomery-domain production kernels against the retained Barrett
@@ -26,11 +26,6 @@ import (
 //     dispatch. The CI gate demands a geometric-mean speedup ≥ 1.3×. The
 //     NTT/iNTT rows additionally report ns per radix-2-equivalent butterfly
 //     and the effective algorithmic stream rate in GB/s.
-//   - A single-thread fused-kernel sweep comparing the radix-4 merged
-//     two-layer NTT/iNTT row kernels against the per-stage scalar radix-2
-//     kernels they replaced. The CI gate demands a geomean speedup ≥ 1.25×
-//     in full mode (the smoke instance's small rows amortize the fusion less,
-//     so its floor is looser).
 //   - A full S=3 factored bootstrap on the instance — end-to-end wall time,
 //     output precision and level, the measured key-switch op mix, and the
 //     internal/sim calibration cross-check of that mix — followed (unless
@@ -51,12 +46,6 @@ type table2Report struct {
 
 	Kernels        []kernelResult `json:"kernels"`
 	GeomeanSpeedup float64        `json:"geomean_speedup"`
-
-	// FusedKernels compares the fused radix-4 row kernels against the
-	// retained per-stage radix-2 kernels, single-threaded (serial engine), so
-	// the number is the pure kernel gain with no dispatch effects.
-	FusedKernels        []fusedKernelResult `json:"fused_kernels"`
-	FusedGeomeanSpeedup float64             `json:"fused_geomean_speedup"`
 
 	// TelemetryOverhead is the geomean slowdown of the Montgomery kernel
 	// sweep with engine/pool telemetry attached, relative to the plain run
@@ -97,17 +86,6 @@ type kernelResult struct {
 	Speedup        float64 `json:"speedup"`
 	NsPerButterfly float64 `json:"ns_per_butterfly,omitempty"`
 	EffectiveGBs   float64 `json:"effective_gbps,omitempty"`
-}
-
-// fusedKernelResult is one row of the single-thread fused radix-4 vs
-// per-stage radix-2 sweep; the butterfly metrics describe the radix-4 side.
-type fusedKernelResult struct {
-	Kernel         string  `json:"kernel"`
-	Radix4Ms       float64 `json:"radix4_ms"`
-	Radix2Ms       float64 `json:"radix2_ms"`
-	Speedup        float64 `json:"speedup"`
-	NsPerButterfly float64 `json:"radix4_ns_per_butterfly"`
-	EffectiveGBs   float64 `json:"radix4_effective_gbps"`
 }
 
 // scalingEntry is one row of the bootstrap worker-scaling table.
@@ -176,12 +154,12 @@ func table2SmokeLiteral() (ckks.ParametersLiteral, ckks.BootstrapParams, params.
 	return lit, bp, inst
 }
 
-// table2Bench runs the Montgomery and fused-radix-4 kernel sweeps and the
-// S=3 factored bootstrap (plus, with scaling, the 1/2/4/8-worker scaling
-// table), printing the JSON report and exiting non-zero if any gate fails:
-// Montgomery geomean < 1.3×, fused geomean below its mode's floor, bootstrap
-// precision out of budget, no working level left, or — full mode on a ≥
-// 8-CPU host — the 8-worker bootstrap under 4× the 1-worker time.
+// table2Bench runs the Montgomery kernel sweep and the S=3 factored
+// bootstrap (plus, with scaling, the 1/2/4/8-worker scaling table), printing
+// the JSON report and exiting non-zero if any gate fails: Montgomery geomean
+// < 1.3×, telemetry overhead > 2%, bootstrap precision out of budget, no
+// working level left, or — full mode on a ≥ 8-CPU host — the 8-worker
+// bootstrap under 4× the 1-worker time.
 func table2Bench(workers int, full, scaling bool) {
 	rep, err := runTable2Bench(workers, full, scaling)
 	if err != nil {
@@ -246,14 +224,6 @@ func runTable2Bench(workers int, full, scaling bool) (*table2Report, error) {
 		logSum += math.Log(k.Speedup)
 	}
 	rep.GeomeanSpeedup = math.Exp(logSum / float64(len(rep.Kernels)))
-
-	// ---- Fused sweep: radix-4 row kernels vs per-stage radix-2, serial.
-	rep.FusedKernels = fusedSweep(ctx.RingQ, p.MaxLevel())
-	logSum = 0.0
-	for _, k := range rep.FusedKernels {
-		logSum += math.Log(k.Speedup)
-	}
-	rep.FusedGeomeanSpeedup = math.Exp(logSum / float64(len(rep.FusedKernels)))
 
 	// ---- Telemetry overhead: re-run the Montgomery sweep with engine and
 	// pool counters attached and compare geomeans.
@@ -393,22 +363,12 @@ func runTable2Bench(workers int, full, scaling bool) (*table2Report, error) {
 	}
 
 	// Gates: the Montgomery core must clear 1.3× geomean over the Barrett
-	// loops, the fused radix-4 kernels must clear their geomean floor over
-	// radix-2 (1.25× on the paper instance; the smoke rows are too short to
-	// amortize fusion fully, so smoke only demands no regression past 1.05×),
-	// telemetry must not cost more than 2% on the same kernels, the refreshed
-	// ciphertext must decode within the precision budget at every worker
-	// count, at least one working level must remain after refresh, and — on a
-	// host that can actually deliver it — the 8-worker bootstrap must land
-	// ≥ 4× under the 1-worker time.
+	// loops, telemetry must not cost more than 2% on the same kernels, the
+	// refreshed ciphertext must decode within the precision budget at every
+	// worker count, at least one working level must remain after refresh, and
+	// — on a host that can actually deliver it — the 8-worker bootstrap must
+	// land ≥ 4× under the 1-worker time.
 	if rep.GeomeanSpeedup < 1.3 {
-		rep.Pass = false
-	}
-	fusedFloor := 1.05
-	if full {
-		fusedFloor = 1.25
-	}
-	if rep.FusedGeomeanSpeedup < fusedFloor {
 		rep.Pass = false
 	}
 	if rep.TelemetryOverhead > 0.02 {
@@ -531,53 +491,4 @@ func butterflyMetrics(r *ring.Ring, level int, ms float64) (nsPerBfly, gbps floa
 	butterflies := float64(level+1) * float64(r.N/2) * float64(r.LogN)
 	bytes := 16 * float64(r.N) * float64(level+1) * float64(r.LogN)
 	return ms * 1e6 / butterflies, bytes / (ms * 1e-3) / 1e9
-}
-
-// fusedSweep times the production fused radix-4 row kernels against the
-// retained per-stage radix-2 kernels on a serial engine (the engine is
-// restored on return), so the ratio is the pure single-thread kernel gain
-// the issue's ≥1.25× acceptance bar refers to. Timing protocol matches
-// kernelSweep: one warm-up, then best-of-3.
-func fusedSweep(r *ring.Ring, level int) []fusedKernelResult {
-	saved := r.Exec()
-	r.SetEngine(nil)
-	defer r.SetEngine(saved)
-
-	rng := rand.New(rand.NewSource(9305))
-	scratch := r.NewPolyLevel(level)
-	r.SampleUniform(rng, scratch, level)
-
-	best := func(f func()) float64 {
-		bestMs := 0.0
-		f() // warm-up: fused twiddle tables, pools
-		for i := 0; i < 3; i++ {
-			start := time.Now()
-			f()
-			if el := time.Since(start).Seconds() * 1e3; bestMs == 0 || el < bestMs {
-				bestMs = el
-			}
-		}
-		return bestMs
-	}
-
-	kernels := []struct {
-		name   string
-		r4, r2 func()
-	}{
-		{"NTT",
-			func() { r.NTT(scratch, level) },
-			func() { r.NTTRadix2(scratch, level) }},
-		{"INTT",
-			func() { r.INTT(scratch, level) },
-			func() { r.INTTRadix2(scratch, level) }},
-	}
-	res := make([]fusedKernelResult, 0, len(kernels))
-	for _, k := range kernels {
-		m4 := best(k.r4)
-		m2 := best(k.r2)
-		row := fusedKernelResult{Kernel: k.name, Radix4Ms: m4, Radix2Ms: m2, Speedup: m2 / m4}
-		row.NsPerButterfly, row.EffectiveGBs = butterflyMetrics(r, level, m4)
-		res = append(res, row)
-	}
-	return res
 }

@@ -114,8 +114,8 @@ func TestLinearTransformParallelEquivalence(t *testing.T) {
 // pipeline's tail — must be bit-identical to the serial run with workers > 1
 // alone and with coefficient-block sharding forced on (a block size far
 // below the default floor so sharding engages at the test's small N). The
-// 8-worker rows exercise a pool wider than the limb count, where the fused
-// radix-4 row path and the sharded per-stage radix-2 path mix within one
+// 8-worker rows exercise a pool wider than the limb count, where the
+// per-row and the sharded schedules of the radix-4 transform mix within one
 // bootstrap.
 func TestBootstrapParallelEquivalence(t *testing.T) {
 	if testing.Short() {

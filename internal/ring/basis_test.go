@@ -139,10 +139,7 @@ func TestBasisExtenderReducedFallback(t *testing.T) {
 	want := bconvOracle(primes[:13], primes[13:], xTrue)
 	in := bconvMForm(from, xTrue)
 	for _, cfg := range identityConfigs {
-		e := NewEngine(cfg.workers)
-		if cfg.block > 0 {
-			e.SetBlockSize(cfg.block)
-		}
+		e, st := cfg.engine()
 		lazy, err := NewBasisExtender(from, to)
 		if err != nil {
 			t.Fatal(err)
@@ -170,6 +167,7 @@ func TestBasisExtenderReducedFallback(t *testing.T) {
 				}
 			}
 		}
+		cfg.checkSharded(t, label, st)
 		e.Close()
 	}
 }

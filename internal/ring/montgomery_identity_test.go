@@ -3,9 +3,11 @@ package ring
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"bts/internal/mod"
+	"bts/internal/telemetry"
 )
 
 // This file pins the Montgomery refactor to the Barrett ground truth: for
@@ -14,13 +16,47 @@ import (
 // shape (serial, limb-parallel, coefficient-block sharded with odd blocks).
 // Run with -race to also certify the sharded dispatch.
 
-// identityConfigs enumerates the (workers, blockSize) engine shapes the
-// identity checks run under.
-var identityConfigs = []struct{ workers, block int }{
-	{0, 0},       // serial, default blocks
-	{1, 64},      // single worker, forced small blocks
-	{3, 48},      // odd worker count, ragged blocks
-	{7, 1 << 20}, // wide pool, limb-only dispatch
+// engineShape is one (workers, blockSize) engine configuration of the
+// identity sweeps. sharded marks the shapes whose block floor lies below N/2
+// on a multi-worker pool at logN 5 and 6, so low-level and one-row kernels
+// must take the coefficient-sharded schedule there; the sweeps assert that
+// they did, so this coverage cannot silently disappear.
+type engineShape struct {
+	workers, block int
+	sharded        bool
+}
+
+// engine builds the shape's engine with a dispatch-counter sink attached.
+func (s engineShape) engine() (*Engine, *telemetry.EngineStats) {
+	e := NewEngine(s.workers)
+	if s.block > 0 {
+		e.SetBlockSize(s.block)
+	}
+	st := new(telemetry.EngineStats)
+	e.SetStats(st)
+	return e, st
+}
+
+// checkSharded fails the test if a shape marked sharded never issued a
+// sharded dispatch.
+func (s engineShape) checkSharded(t *testing.T, label string, st *telemetry.EngineStats) {
+	t.Helper()
+	if s.sharded && st.ShardedRuns.Load() == 0 {
+		t.Fatalf("%s: workers=%d block=%d issued no sharded dispatch", label, s.workers, s.block)
+	}
+}
+
+// identityConfigs enumerates the engine shapes the identity checks run
+// under.
+var identityConfigs = []engineShape{
+	{0, 0, false},       // serial, default blocks
+	{1, 64, false},      // single worker, forced small blocks
+	{3, 48, false},      // odd worker count, ragged blocks
+	{7, 1 << 20, false}, // wide pool, limb-only dispatch
+	{3, 4, true},        // odd worker count, blocks far below N/2
+	// Host parallelism (at least two workers, so the shape always shards)
+	// with odd blocks.
+	{max(runtime.NumCPU(), 2), 7, true},
 }
 
 // assertPlainEqual compares the IForm of an M-form polynomial against a plain
@@ -53,11 +89,8 @@ func TestMontgomeryKernelsBitIdenticalToBarrett(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e := NewEngine(cfg.workers)
+			e, st := cfg.engine()
 			defer e.Close()
-			if cfg.block > 0 {
-				e.SetBlockSize(cfg.block)
-			}
 			r.SetEngine(e)
 			rng := rand.New(rand.NewSource(99))
 			for level := 0; level < nPrimes; level++ {
@@ -145,6 +178,7 @@ func TestMontgomeryKernelsBitIdenticalToBarrett(t *testing.T) {
 				r.MulCoeffsAndAddBarrett(perm, a, outB, level)
 				assertPlainEqual(t, r, fmt.Sprintf("gather MAC level %d", level), outM, outB, level)
 			}
+			cfg.checkSharded(t, "Montgomery kernels", st)
 		})
 	}
 }
@@ -179,10 +213,7 @@ func TestBasisExtenderBitIdenticalAcrossEngines(t *testing.T) {
 		want := bconvOracle(primesQ, primesP, xTrue)
 		in := bconvMForm(from, xTrue) // M-form inputs, as ModUp presents them
 		for _, cfg := range identityConfigs {
-			e := NewEngine(cfg.workers)
-			if cfg.block > 0 {
-				e.SetBlockSize(cfg.block)
-			}
+			e, st := cfg.engine()
 			be, err := NewBasisExtender(from, to)
 			if err != nil {
 				t.Fatal(err)
@@ -190,8 +221,9 @@ func TestBasisExtenderBitIdenticalAcrossEngines(t *testing.T) {
 			be.SetEngine(e)
 			out := bconvRows(s.nt, n)
 			be.Convert(in, out)
-			bconvCheck(t, fmt.Sprintf("%d→%d workers=%d block=%d", s.nf, s.nt, cfg.workers, cfg.block),
-				to, out, want)
+			label := fmt.Sprintf("%d→%d workers=%d block=%d", s.nf, s.nt, cfg.workers, cfg.block)
+			bconvCheck(t, label, to, out, want)
+			cfg.checkSharded(t, label, st)
 			e.Close()
 		}
 	}
@@ -212,10 +244,7 @@ func TestDivRoundBitIdenticalAcrossEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		e := NewEngine(cfg.workers)
-		if cfg.block > 0 {
-			e.SetBlockSize(cfg.block)
-		}
+		e, st := cfg.engine()
 		r.SetEngine(e)
 		rng := rand.New(rand.NewSource(11))
 		p := r.NewPolyLevel(3)
@@ -234,6 +263,7 @@ func TestDivRoundBitIdenticalAcrossEngines(t *testing.T) {
 				}
 			}
 		}
+		cfg.checkSharded(t, "rescale", st)
 		e.Close()
 	}
 }

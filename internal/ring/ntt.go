@@ -13,54 +13,46 @@ package ring
 // constant maps x ↦ x·w mod q regardless of x's own form, the network
 // preserves the package's Montgomery-form invariant without any conversion.
 //
-// Three kernels implement the network, forming the ring's kernel hierarchy
-// (slowest/simplest first):
+// One kernel implements the network: fused radix-4 passes (nttPass), each
+// merging two consecutive stages into one sweep of four-coefficient
+// butterflies with one interleaved twiddle triple per group
+// (Modulus.psiFused) and intermediates on a widened [0, 4q) lazy window —
+// half the passes over the row (and with them the loads, stores and loop
+// overhead) of a radix-2 network. An odd log2(N) adds one leading radix-2
+// stage (nttHead), and a normalization sweep (nttNormalize) folds the window
+// down to canonical residues. The plain-form Barrett loops of reference.go
+// are the bit-identity oracle; they never run on the serving path.
 //
-//   - NTTBarrett (reference.go): plain-form, fully reduced at every
-//     butterfly. The bit-identity oracle; never on the serving path.
-//   - nttRowRadix2: scalar Montgomery radix-2 rows, intermediates lazy in
-//     [0, 2q). Retained as NTTRadix2 for benchmarks and the identity sweep,
-//     and — as nttStageRange, its per-stage form — as the building block of
-//     the sharded schedule below.
-//   - nttRowRadix4 (the production row kernel): merged two-layer (radix-4)
-//     butterflies. Each fused pass loads one interleaved twiddle triple per
-//     group (Modulus.psiFused), processes 4 coefficients per butterfly
-//     through re-sliced bounds-check-free views, and lets intermediates ride
-//     a widened [0, 4q) lazy window across the two merged layers — one REDC
-//     per multiply, conditional corrections only where a following sum
-//     could exceed 4q and at pass end — halving the passes over the row
-//     (and with them the loads, stores and loop overhead) relative to
-//     radix-2. An odd log2(N) is handled by one leading radix-2 stage.
-//
-// Dispatch is two-dimensional (Engine.RunBlocks): when the active rows alone
-// can occupy the pool, each row runs the fused radix-4 kernel as one task
-// (the paper's limb-level parallelism — full rows at high levels always take
-// the fused path). When they cannot — low-level ciphertexts on a many-core
-// host — the rows are transformed stage by stage with every stage's n/2
-// radix-2 butterflies sharded into contiguous index blocks across all rows
-// (the coefficient dimension of the PE grid): butterflies within one stage
-// touch disjoint (j, j+t) pairs, so they are order-independent, and a
-// barrier between stages preserves the network's data dependencies. All
-// three kernels and both schedules produce bit-identical outputs: lazy
-// representatives may differ mid-network, but every path ends with the same
-// normalization to canonical residues.
+// Dispatch is two-dimensional (Engine.RunBlocks), and both schedules call the
+// same step functions, each a function of an index range [lo, hi). When the
+// active rows alone can occupy the pool, each row runs every step over its
+// full range as one task (the paper's limb-level parallelism). When they
+// cannot — low-level ciphertexts, single-row transforms — every step is
+// sharded into contiguous index blocks across all rows (the coefficient
+// dimension of the PE grid) with a barrier between steps: the quartets of one
+// pass touch disjoint coefficients, so they are order-independent, and the
+// barrier preserves the network's data dependencies. That is ⌈log2(N)/2⌉ + 1
+// barriers per transform, one per global exchange step of the PE grid. Both
+// schedules run the same arithmetic on the same values, so their outputs are
+// bit-identical.
 func (r *Ring) NTT(p *Poly, level int) {
 	r.nttRows(p.Coeffs[:level+1], r.Moduli[:level+1])
 }
 
 // INTT transforms rows [0..level] of p in place from the NTT domain back to
 // the coefficient domain (Butterfly_iNTT: X' = X+Y, Y' = (X-Y)·W^-1, followed
-// by scaling with N^-1), with the same kernel hierarchy and dispatch as NTT
-// (the fused Gentleman–Sande kernel trails its radix-2 stage, mirroring the
-// forward network). The N^-1 scaling pass doubles as the normalization pass:
-// its REDC multiply reduces the lazy values to canonical residues.
+// by scaling with N^-1), with the same kernel and dispatch as NTT: fused
+// Gentleman–Sande passes (inttPass), then the odd-log2(N) radix-2 tail stage
+// (inttTail), mirroring the forward network. The N^-1 scaling sweep
+// (inttScale) doubles as the normalization: its REDC multiply reduces the
+// lazy values to canonical residues.
 func (r *Ring) INTT(p *Poly, level int) {
 	r.inttRows(p.Coeffs[:level+1], r.Moduli[:level+1])
 }
 
-// NTTRow transforms a single residue polynomial at prime index i. The
-// transform is sharded across the engine like NTT (a one-row call is the
-// worst case for limb-only dispatch).
+// NTTRow transforms a single residue polynomial at prime index i. A one-row
+// call is the worst case for limb-only dispatch, so on a multi-worker engine
+// it takes the sharded schedule whenever N/2 spans at least two blocks.
 func (r *Ring) NTTRow(row []uint64, i int) {
 	r.nttRows([][]uint64{row}, r.Moduli[i:i+1])
 }
@@ -71,163 +63,116 @@ func (r *Ring) INTTRow(row []uint64, i int) {
 	r.inttRows([][]uint64{row}, r.Moduli[i:i+1])
 }
 
-// NTTRadix2 is the scalar Montgomery radix-2 forward transform on rows
-// [0..level] of p, one engine task per row. It is the PR 6 production kernel
-// kept as the fused kernels' in-family baseline: the identity sweep pins
-// radix-4 to it (and both to the Barrett oracle), and the table2 bench
-// reports the fused speedup against it. Production dispatch (NTT) never
-// picks it — full rows go radix-4, sharded rows go through nttStageRange.
-func (r *Ring) NTTRadix2(p *Poly, level int) {
-	r.exec.Run(level+1, func(i int) { r.nttRowRadix2(p.Coeffs[i], r.Moduli[i]) })
-}
-
-// INTTRadix2 is the scalar Montgomery radix-2 inverse counterpart of
-// NTTRadix2.
-func (r *Ring) INTTRadix2(p *Poly, level int) {
-	r.exec.Run(level+1, func(i int) { r.inttRowRadix2(p.Coeffs[i], r.Moduli[i]) })
-}
-
-// nttRows forward-transforms rows[i] under moduli ms[i], picking between the
-// two schedules: one fused radix-4 task per row when the rows can fill the
-// pool, or the stage-sharded radix-2 schedule when they cannot. Both finish
-// with the lazy→canonical normalization pass.
+// nttRows forward-transforms rows[i] under moduli ms[i]: one nttRow task per
+// row when the rows can fill the pool, otherwise one sharded dispatch per
+// step. Every sharded step partitions the same index space [0, N/2) — the
+// butterflies of one radix-2 stage — into blockCount(rows, N/2) blocks: the
+// head stage takes butterflies [lo, hi), a pass quartets [lo/2, hi/2) and the
+// normalization coefficients [2lo, 2hi).
 func (r *Ring) nttRows(rows [][]uint64, ms []*Modulus) {
-	if r.exec.blockCount(len(rows), r.N/2) <= 1 {
-		r.exec.Run(len(rows), func(i int) { r.nttRowRadix4(rows[i], ms[i]) })
+	half := r.N / 2
+	if r.exec.blockCount(len(rows), half) <= 1 {
+		r.exec.Run(len(rows), func(i int) { r.nttRow(rows[i], ms[i]) })
 		return
 	}
-	n := r.N
-	t := n
-	for mLen := 1; mLen < n; mLen <<= 1 {
-		t >>= 1
-		r.exec.RunBlocks(len(rows), n/2, func(i, lo, hi int) {
-			nttStageRange(rows[i], ms[i], mLen, t, lo, hi)
-		})
+	step := func(fn func(a []uint64, m *Modulus, lo, hi int)) {
+		r.exec.RunBlocks(len(rows), half, func(i, lo, hi int) { fn(rows[i], ms[i], lo, hi) })
 	}
-	r.exec.RunBlocks(len(rows), n, func(i, lo, hi int) {
-		q := ms[i].Q
-		a := rows[i][lo:hi:hi]
-		for j := range a {
-			if a[j] >= q {
-				a[j] -= q
-			}
-		}
-	})
+	logH := r.LogN - 2
+	if r.LogN&1 == 1 {
+		step(nttHead)
+		logH--
+	}
+	for ; logH >= 0; logH -= 2 {
+		step(func(a []uint64, m *Modulus, lo, hi int) { nttPass(a, m, logH, lo>>1, hi>>1) })
+	}
+	step(func(a []uint64, m *Modulus, lo, hi int) { nttNormalize(a, m, 2*lo, 2*hi) })
 }
 
-// inttRows is the inverse counterpart of nttRows; the trailing N^-1 scaling
-// pass is element-wise, sharded over coefficients directly, and normalizes
-// the lazy values to canonical residues via its full REDC.
+// nttRow runs the forward network on one whole row: the head stage, every
+// pass and the normalization, each over its full range.
+func (r *Ring) nttRow(a []uint64, m *Modulus) {
+	n := r.N
+	logH := r.LogN - 2
+	if r.LogN&1 == 1 {
+		nttHead(a, m, 0, n/2)
+		logH--
+	}
+	for ; logH >= 0; logH -= 2 {
+		nttPass(a, m, logH, 0, n/4)
+	}
+	nttNormalize(a, m, 0, n)
+}
+
+// inttRows is the inverse counterpart of nttRows, with the same shard
+// decision and index space: passes take quartets [lo/2, hi/2), the tail
+// stage butterflies [lo, hi) and the N^-1 scaling coefficients [2lo, 2hi).
 func (r *Ring) inttRows(rows [][]uint64, ms []*Modulus) {
-	if r.exec.blockCount(len(rows), r.N/2) <= 1 {
-		r.exec.Run(len(rows), func(i int) { r.inttRowRadix4(rows[i], ms[i]) })
+	half := r.N / 2
+	if r.exec.blockCount(len(rows), half) <= 1 {
+		r.exec.Run(len(rows), func(i int) { r.inttRow(rows[i], ms[i]) })
 		return
 	}
+	step := func(fn func(a []uint64, m *Modulus, lo, hi int)) {
+		r.exec.RunBlocks(len(rows), half, func(i, lo, hi int) { fn(rows[i], ms[i], lo, hi) })
+	}
+	for logT := 0; logT+2 <= r.LogN; logT += 2 {
+		step(func(a []uint64, m *Modulus, lo, hi int) { inttPass(a, m, logT, lo>>1, hi>>1) })
+	}
+	if r.LogN&1 == 1 {
+		step(inttTail)
+	}
+	step(func(a []uint64, m *Modulus, lo, hi int) { inttScale(a, m, 2*lo, 2*hi) })
+}
+
+// inttRow runs the inverse network on one whole row: every pass, the tail
+// stage and the N^-1 scaling, each over its full range.
+func (r *Ring) inttRow(a []uint64, m *Modulus) {
 	n := r.N
-	t := 1
-	for mLen := n; mLen > 1; mLen >>= 1 {
-		h := mLen >> 1
-		tt := t
-		r.exec.RunBlocks(len(rows), n/2, func(i, lo, hi int) {
-			inttStageRange(rows[i], ms[i], h, tt, lo, hi)
-		})
-		t <<= 1
+	for logT := 0; logT+2 <= r.LogN; logT += 2 {
+		inttPass(a, m, logT, 0, n/4)
 	}
-	r.exec.RunBlocks(len(rows), n, func(i, lo, hi int) {
-		m := ms[i]
-		nInvM := m.nInvM
-		mr := m.MRed
-		a := rows[i][lo:hi:hi]
-		for j := range a {
-			a[j] = mr.Mul(a[j], nInvM)
-		}
-	})
+	if r.LogN&1 == 1 {
+		inttTail(a, m, 0, n/2)
+	}
+	inttScale(a, m, 0, n)
 }
 
-// nttStageRange executes butterflies [lo, hi) of one Cooley–Tukey stage on
-// row a: the stage has mLen groups of t butterflies each, and butterfly b
-// belongs to group g = b/t at offset j = b mod t, touching a[2·g·t+j] and
-// a[2·g·t+j+t]. Distinct butterflies of one stage touch disjoint pairs, so
-// any partition of [0, n/2) is race-free and order-independent. Values stay
-// in [0, 2q): the REDC-lazy twiddle product of a value < 2q is < 2q (q has
-// two headroom bits below 2^64), and each output pays one conditional
-// subtraction of 2q.
-func nttStageRange(a []uint64, m *Modulus, mLen, t, lo, hi int) {
+// nttHead runs butterflies [lo, hi) of the leading radix-2 stage an odd
+// log2(N) needs before the fused passes: the single group (mLen = 1, twiddle
+// ψ^brv(1)), butterfly j touching a[j] and a[j+N/2]. Outputs are corrected
+// into [0, 2q) (the REDC-lazy twiddle product of any input is < 2q).
+func nttHead(a []uint64, m *Modulus, lo, hi int) {
 	twoQ := 2 * m.Q
 	mr := m.MRed
-	for b := lo; b < hi; {
-		g := b / t
-		j := b - g*t
-		end := hi - g*t
-		if end > t {
-			end = t
+	w := m.psiRev[1]
+	t := len(a) >> 1
+	x := a[lo:hi:hi]
+	y := a[t+lo : t+hi : t+hi]
+	y = y[:len(x)]
+	for j := range x {
+		u := x[j]
+		v := mr.MulLazy(y[j], w)
+		s := u + v
+		if s >= twoQ {
+			s -= twoQ
 		}
-		w := m.psiRev[mLen+g]
-		base := 2 * g * t
-		// Re-slice so the compiler can drop the bounds checks: both views
-		// cover exactly the butterflies [j, end) of this group.
-		x := a[base+j : base+end : base+end]
-		y := a[base+t+j : base+t+end : base+t+end]
-		y = y[:len(x)]
-		for k := range x {
-			u := x[k]
-			v := mr.MulLazy(y[k], w)
-			s := u + v
-			if s >= twoQ {
-				s -= twoQ
-			}
-			d := u + twoQ - v
-			if d >= twoQ {
-				d -= twoQ
-			}
-			x[k] = s
-			y[k] = d
+		d := u + twoQ - v
+		if d >= twoQ {
+			d -= twoQ
 		}
-		b = g*t + end
+		x[j] = s
+		y[j] = d
 	}
 }
 
-// inttStageRange is the Gentleman–Sande counterpart: the stage has h groups
-// of t butterflies, butterfly b in group g = b/t at offset j touches
-// a[2·g·t+j] and a[2·g·t+j+t] with twiddle ψ^-1 index h+g. The difference
-// path feeds u-v+2q < 4q into the lazy REDC (still inside its input bound,
-// 4q < 2^64) and comes out < 2q with no conditional at all; only the sum
-// path pays one.
-func inttStageRange(a []uint64, m *Modulus, h, t, lo, hi int) {
-	twoQ := 2 * m.Q
-	mr := m.MRed
-	for b := lo; b < hi; {
-		g := b / t
-		j := b - g*t
-		end := hi - g*t
-		if end > t {
-			end = t
-		}
-		w := m.psiInvRev[h+g]
-		base := 2 * g * t
-		x := a[base+j : base+end : base+end]
-		y := a[base+t+j : base+t+end : base+t+end]
-		y = y[:len(x)]
-		for k := range x {
-			u := x[k]
-			v := y[k]
-			s := u + v
-			if s >= twoQ {
-				s -= twoQ
-			}
-			x[k] = s
-			y[k] = mr.MulLazy(u+twoQ-v, w)
-		}
-		b = g*t + end
-	}
-}
-
-// nttRowRadix4 is the fused forward row kernel: each pass merges two
+// nttPass runs quartets [lo, hi) of one fused forward pass, which merges two
 // consecutive Cooley–Tukey stages into one sweep of radix-4 butterflies. The
-// group k = mLen+g loads its interleaved twiddle triple {w1, w2, w3} =
-// psiFused[3k..3k+2] (first-layer twiddle, then the two child twiddles of
-// the second layer) and transforms quartets (c0, c1, c2, c3) at strides h =
-// t/2:
+// quartet stride is h = 2^logH, so the pass has mLen = N/(4h) groups of h
+// quartets; quartet b belongs to group g = b>>logH at offset j = b mod h and
+// transforms (c0, c1, c2, c3) = a[4gh+j+{0, h, 2h, 3h}]. The group k = mLen+g
+// loads its interleaved twiddle triple {w1, w2, w3} = psiFused[3k..3k+2]
+// (first-layer twiddle, then the two child twiddles of the second layer):
 //
 //	layer 1:  u0 = c0 + w1·c2   u2 = c0 − w1·c2   (and likewise u1, u3 from c1, c3)
 //	layer 2:  v0 = u0 + w2·u1   v1 = u0 − w2·u1   v2 = u2 + w3·u3   v3 = u2 − w3·u3
@@ -242,91 +187,80 @@ func inttStageRange(a []uint64, m *Modulus, h, t, lo, hi int) {
 // valid REDC input, so c2, c3, u1, u3 feed their multiplies unreduced. Per
 // 4 coefficients a fused pass spends the same 4 REDC multiplies as two
 // radix-2 stages but 4 conditional corrections instead of 8 and — the
-// actual win on paper-sized rows — half the loads and stores. The trailing
-// normalization folds the window back down (two conditional subtractions
-// from < 4q), yielding residues bit-identical to the radix-2 kernels.
-func (r *Ring) nttRowRadix4(a []uint64, m *Modulus) {
-	n := r.N
-	q := m.Q
-	twoQ := 2 * q
+// actual win on paper-sized rows — half the loads and stores. nttNormalize
+// folds the window back down. Distinct quartets touch disjoint coefficients,
+// so any partition of [0, N/4) is race-free and order-independent. The first
+// group and offset are found with shifts once per call; later groups follow
+// at a fixed stride, so no quartet pays a division.
+func nttPass(a []uint64, m *Modulus, logH, lo, hi int) {
+	twoQ := 2 * m.Q
 	mr := m.MRed
 	fw := m.psiFused
-	mLen := 1
-	t := n
-	if r.LogN&1 == 1 {
-		// Odd log2(N): one leading radix-2 stage (mLen=1, the single group
-		// with twiddle ψ^brv(1)) leaves an even number of stages for the
-		// fused passes.
-		t >>= 1
-		w := m.psiRev[1]
-		x := a[0:t:t]
-		y := a[t : 2*t : 2*t]
-		y = y[:len(x)]
-		for j := range x {
-			u := x[j]
-			v := mr.MulLazy(y[j], w)
-			s := u + v
-			if s >= twoQ {
-				s -= twoQ
+	sh := uint(logH) & 63 // the mask drops the compiler's oversized-shift guard
+	h := 1 << sh
+	// The first group, its twiddle triple and its first coefficient; every
+	// later group starts at offset 0 one triple and 4h coefficients on.
+	g := lo >> sh
+	k := 3 * (len(a)>>(sh+2) + g)
+	base := g << (sh + 2)
+	j := lo & (h - 1)
+	for rem := hi - lo; rem > 0; {
+		end := min(j+rem, h)
+		tw := fw[k : k+3 : k+3]
+		w1, w2, w3 := tw[0], tw[1], tw[2]
+		// Re-slice so the compiler can drop the bounds checks: all four
+		// views cover exactly the quartets [j, end) of this group.
+		grp := a[base : base+4*h : base+4*h]
+		x0 := grp[j:end:end]
+		x1 := grp[h+j : h+end : h+end]
+		x2 := grp[2*h+j : 2*h+end : 2*h+end]
+		x3 := grp[3*h+j : 3*h+end : 3*h+end]
+		x1 = x1[:len(x0)]
+		x2 = x2[:len(x0)]
+		x3 = x3[:len(x0)]
+		for i := range x0 {
+			c0 := x0[i]
+			c1 := x1[i]
+			c2 := x2[i]
+			c3 := x3[i]
+			if c0 >= twoQ {
+				c0 -= twoQ
 			}
-			d := u + twoQ - v
-			if d >= twoQ {
-				d -= twoQ
+			if c1 >= twoQ {
+				c1 -= twoQ
 			}
-			x[j] = s
-			y[j] = d
+			p2 := mr.MulLazy(c2, w1)
+			p3 := mr.MulLazy(c3, w1)
+			u0 := c0 + p2
+			u2 := c0 + twoQ - p2
+			u1 := c1 + p3
+			u3 := c1 + twoQ - p3
+			if u0 >= twoQ {
+				u0 -= twoQ
+			}
+			if u2 >= twoQ {
+				u2 -= twoQ
+			}
+			s1 := mr.MulLazy(u1, w2)
+			s3 := mr.MulLazy(u3, w3)
+			x0[i] = u0 + s1
+			x1[i] = u0 + twoQ - s1
+			x2[i] = u2 + s3
+			x3[i] = u2 + twoQ - s3
 		}
-		mLen = 2
+		rem -= len(x0)
+		j = 0
+		k += 3
+		base += 4 * h
 	}
-	for ; mLen <= n>>2; mLen <<= 2 {
-		t >>= 1     // first-layer half size
-		h := t >> 1 // second-layer half size, the quartet stride
-		for g := 0; g < mLen; g++ {
-			k := mLen + g
-			w1 := fw[3*k]
-			w2 := fw[3*k+1]
-			w3 := fw[3*k+2]
-			base := 2 * g * t
-			x0 := a[base : base+h : base+h]
-			x1 := a[base+h : base+t : base+t]
-			x2 := a[base+t : base+t+h : base+t+h]
-			x3 := a[base+t+h : base+2*t : base+2*t]
-			x1 = x1[:len(x0)]
-			x2 = x2[:len(x0)]
-			x3 = x3[:len(x0)]
-			for j := range x0 {
-				c0 := x0[j]
-				c1 := x1[j]
-				c2 := x2[j]
-				c3 := x3[j]
-				if c0 >= twoQ {
-					c0 -= twoQ
-				}
-				if c1 >= twoQ {
-					c1 -= twoQ
-				}
-				p2 := mr.MulLazy(c2, w1)
-				p3 := mr.MulLazy(c3, w1)
-				u0 := c0 + p2
-				u2 := c0 + twoQ - p2
-				u1 := c1 + p3
-				u3 := c1 + twoQ - p3
-				if u0 >= twoQ {
-					u0 -= twoQ
-				}
-				if u2 >= twoQ {
-					u2 -= twoQ
-				}
-				s1 := mr.MulLazy(u1, w2)
-				s3 := mr.MulLazy(u3, w3)
-				x0[j] = u0 + s1
-				x1[j] = u0 + twoQ - s1
-				x2[j] = u2 + s3
-				x3[j] = u2 + twoQ - s3
-			}
-		}
-		t >>= 1
-	}
+}
+
+// nttNormalize folds coefficients [lo, hi) from the passes' [0, 4q) window
+// to canonical residues (two conditional subtractions).
+func nttNormalize(a []uint64, m *Modulus, lo, hi int) {
+	q := m.Q
+	twoQ := 2 * q
+	a = a[lo:hi:hi]
 	for j := range a {
 		v := a[j]
 		if v >= twoQ {
@@ -339,166 +273,114 @@ func (r *Ring) nttRowRadix4(a []uint64, m *Modulus) {
 	}
 }
 
-// inttRowRadix4 is the fused inverse row kernel, merging two consecutive
-// Gentleman–Sande stages. The fused group k = mLen/4+g loads its triple
-// {wA0, wA1, wB} = psiInvFused[3k..3k+2] (the two first-layer child twiddles,
-// then the second-layer parent twiddle) and transforms quartets at stride t:
+// inttPass runs quartets [lo, hi) of one fused inverse pass, which merges two
+// consecutive Gentleman–Sande stages. The quartet stride is t = 2^logT, so
+// the pass has h2 = N/(4t) groups of t quartets; quartet b belongs to group
+// g = b>>logT at offset j and transforms (c0, c1, c2, c3) =
+// a[4gt+j+{0, t, 2t, 3t}]. The group k = h2+g loads its triple
+// {wA0, wA1, wB} = psiInvFused[3k..3k+2] (the two first-layer child
+// twiddles, then the second-layer parent twiddle):
 //
 //	layer 1:  u0 = c0 + c1   u1 = (c0 − c1)·wA0   (and u2, u3 from c2, c3)
 //	layer 2:  v0 = u0 + u2   v2 = (u0 − u2)·wB    v1 = u1 + u3   v3 = (u1 − u3)·wB
 //
-// The window discipline mirrors the forward kernel: inputs < 2q, the sums
+// The window discipline mirrors the forward pass: inputs < 2q, the sums
 // u0, u2 reach 4q and pay one conditional each before layer 2 (their sum
 // would reach 8q otherwise), the REDC difference paths take their < 4q
 // arguments unreduced and emit < 2q, and the remaining sums v0, v1 pay the
 // pass-end corrections — 4 conditionals per 4 coefficients, equal to two
 // radix-2 stages, with half the memory traffic. Outputs stay < 2q for the
-// next pass; the N^-1 scaling pass normalizes exactly as for radix-2.
-func (r *Ring) inttRowRadix4(a []uint64, m *Modulus) {
-	n := r.N
+// next pass; inttScale normalizes. Quartets are found as in nttPass.
+func inttPass(a []uint64, m *Modulus, logT, lo, hi int) {
 	twoQ := 2 * m.Q
 	mr := m.MRed
 	fw := m.psiInvFused
-	t := 1
-	mLen := n
-	for ; mLen >= 4; mLen >>= 2 {
-		h2 := mLen >> 2 // fused group count (second-layer groups)
-		for g := 0; g < h2; g++ {
-			k := h2 + g
-			wA0 := fw[3*k]
-			wA1 := fw[3*k+1]
-			wB := fw[3*k+2]
-			base := 4 * g * t
-			x0 := a[base : base+t : base+t]
-			x1 := a[base+t : base+2*t : base+2*t]
-			x2 := a[base+2*t : base+3*t : base+3*t]
-			x3 := a[base+3*t : base+4*t : base+4*t]
-			x1 = x1[:len(x0)]
-			x2 = x2[:len(x0)]
-			x3 = x3[:len(x0)]
-			for j := range x0 {
-				c0 := x0[j]
-				c1 := x1[j]
-				c2 := x2[j]
-				c3 := x3[j]
-				u0 := c0 + c1
-				u1 := mr.MulLazy(c0+twoQ-c1, wA0)
-				u2 := c2 + c3
-				u3 := mr.MulLazy(c2+twoQ-c3, wA1)
-				if u0 >= twoQ {
-					u0 -= twoQ
-				}
-				if u2 >= twoQ {
-					u2 -= twoQ
-				}
-				v0 := u0 + u2
-				if v0 >= twoQ {
-					v0 -= twoQ
-				}
-				v2 := mr.MulLazy(u0+twoQ-u2, wB)
-				v1 := u1 + u3
-				if v1 >= twoQ {
-					v1 -= twoQ
-				}
-				v3 := mr.MulLazy(u1+twoQ-u3, wB)
-				x0[j] = v0
-				x1[j] = v1
-				x2[j] = v2
-				x3[j] = v3
+	sh := uint(logT) & 63
+	t := 1 << sh
+	g := lo >> sh
+	k := 3 * (len(a)>>(sh+2) + g)
+	base := g << (sh + 2)
+	j := lo & (t - 1)
+	for rem := hi - lo; rem > 0; {
+		end := min(j+rem, t)
+		tw := fw[k : k+3 : k+3]
+		wA0, wA1, wB := tw[0], tw[1], tw[2]
+		grp := a[base : base+4*t : base+4*t]
+		x0 := grp[j:end:end]
+		x1 := grp[t+j : t+end : t+end]
+		x2 := grp[2*t+j : 2*t+end : 2*t+end]
+		x3 := grp[3*t+j : 3*t+end : 3*t+end]
+		x1 = x1[:len(x0)]
+		x2 = x2[:len(x0)]
+		x3 = x3[:len(x0)]
+		for i := range x0 {
+			c0 := x0[i]
+			c1 := x1[i]
+			c2 := x2[i]
+			c3 := x3[i]
+			u0 := c0 + c1
+			u1 := mr.MulLazy(c0+twoQ-c1, wA0)
+			u2 := c2 + c3
+			u3 := mr.MulLazy(c2+twoQ-c3, wA1)
+			if u0 >= twoQ {
+				u0 -= twoQ
 			}
-		}
-		t <<= 2
-	}
-	if mLen == 2 {
-		// Odd log2(N): the trailing radix-2 stage (the single group with
-		// twiddle ψ^-brv(1)), mirroring the forward kernel's leading stage.
-		w := m.psiInvRev[1]
-		ht := n >> 1
-		x := a[0:ht:ht]
-		y := a[ht:n:n]
-		y = y[:len(x)]
-		for j := range x {
-			u := x[j]
-			v := y[j]
-			s := u + v
-			if s >= twoQ {
-				s -= twoQ
+			if u2 >= twoQ {
+				u2 -= twoQ
 			}
-			x[j] = s
-			y[j] = mr.MulLazy(u+twoQ-v, w)
+			v0 := u0 + u2
+			if v0 >= twoQ {
+				v0 -= twoQ
+			}
+			v2 := mr.MulLazy(u0+twoQ-u2, wB)
+			v1 := u1 + u3
+			if v1 >= twoQ {
+				v1 -= twoQ
+			}
+			v3 := mr.MulLazy(u1+twoQ-u3, wB)
+			x0[i] = v0
+			x1[i] = v1
+			x2[i] = v2
+			x3[i] = v3
 		}
-	}
-	nInvM := m.nInvM
-	for j := range a {
-		a[j] = mr.Mul(a[j], nInvM)
+		rem -= len(x0)
+		j = 0
+		k += 3
+		base += 4 * t
 	}
 }
 
-func (r *Ring) nttRowRadix2(a []uint64, m *Modulus) {
-	n := r.N
-	q := m.Q
-	twoQ := 2 * q
-	mr := m.MRed
-	t := n
-	for mLen := 1; mLen < n; mLen <<= 1 {
-		t >>= 1
-		for i := 0; i < mLen; i++ {
-			w := m.psiRev[mLen+i]
-			base := 2 * i * t
-			x := a[base : base+t : base+t]
-			y := a[base+t : base+2*t : base+2*t]
-			y = y[:len(x)]
-			for j := range x {
-				u := x[j]
-				v := mr.MulLazy(y[j], w)
-				s := u + v
-				if s >= twoQ {
-					s -= twoQ
-				}
-				d := u + twoQ - v
-				if d >= twoQ {
-					d -= twoQ
-				}
-				x[j] = s
-				y[j] = d
-			}
-		}
-	}
-	for j := range a {
-		if a[j] >= q {
-			a[j] -= q
-		}
-	}
-}
-
-func (r *Ring) inttRowRadix2(a []uint64, m *Modulus) {
-	n := r.N
+// inttTail runs butterflies [lo, hi) of the trailing radix-2 stage an odd
+// log2(N) needs after the fused passes, mirroring nttHead: the single group
+// with twiddle ψ^-brv(1), butterfly j touching a[j] and a[j+N/2]. The
+// difference path feeds u-v+2q < 4q into the lazy REDC and comes out < 2q
+// with no conditional; only the sum path pays one.
+func inttTail(a []uint64, m *Modulus, lo, hi int) {
 	twoQ := 2 * m.Q
 	mr := m.MRed
-	t := 1
-	for mLen := n; mLen > 1; mLen >>= 1 {
-		j1 := 0
-		h := mLen >> 1
-		for i := 0; i < h; i++ {
-			w := m.psiInvRev[h+i]
-			x := a[j1 : j1+t : j1+t]
-			y := a[j1+t : j1+2*t : j1+2*t]
-			y = y[:len(x)]
-			for j := range x {
-				u := x[j]
-				v := y[j]
-				s := u + v
-				if s >= twoQ {
-					s -= twoQ
-				}
-				x[j] = s
-				y[j] = mr.MulLazy(u+twoQ-v, w)
-			}
-			j1 += 2 * t
+	w := m.psiInvRev[1]
+	t := len(a) >> 1
+	x := a[lo:hi:hi]
+	y := a[t+lo : t+hi : t+hi]
+	y = y[:len(x)]
+	for j := range x {
+		u := x[j]
+		v := y[j]
+		s := u + v
+		if s >= twoQ {
+			s -= twoQ
 		}
-		t <<= 1
+		x[j] = s
+		y[j] = mr.MulLazy(u+twoQ-v, w)
 	}
+}
+
+// inttScale multiplies coefficients [lo, hi) by N^-1; its full REDC reduces
+// the lazy values to canonical residues.
+func inttScale(a []uint64, m *Modulus, lo, hi int) {
 	nInvM := m.nInvM
+	mr := m.MRed
+	a = a[lo:hi:hi]
 	for j := range a {
 		a[j] = mr.Mul(a[j], nInvM)
 	}

@@ -8,15 +8,16 @@ import (
 	"bts/internal/mod"
 )
 
-// Kernel-level NTT benchmarks at the Table 2 instance's shape: single rows of
-// N=2^17 coefficients under the chain's two prime widths (50-bit working
-// primes, 60-bit bootstrap-section primes). They time the scalar Montgomery
-// radix-2 kernel against the fused radix-4 kernel directly — serial engine,
-// one row, no dispatch — so a fused-kernel regression shows up in
-// `go test -bench NTTKernel ./internal/ring` without a full btsbench table2
-// run. b.SetBytes reports the algorithmic stream rate (one load + one store
-// per coefficient per radix-2 stage equivalent), making the fused kernels'
-// traffic savings visible as a higher MB/s at equal algorithmic bytes.
+// Kernel-level NTT benchmarks: single rows at the benchmark workloads' ring
+// sizes (N=2^12 for boot-n12, N=2^15 for keyswitch-n15) and the Table 2
+// instance's N=2^17, under 50- and 60-bit primes (the chain's working and
+// bootstrap-section widths). They time the scalar Montgomery radix-2 oracle
+// (radix2_test.go) against the production fused radix-4 transform directly —
+// serial engine, one row, no dispatch — so a fused-kernel regression shows up
+// in `go test -bench NTTKernel ./internal/ring`. b.SetBytes reports the
+// algorithmic stream rate (one load + one store per coefficient per radix-2
+// stage equivalent), making the fused passes' traffic savings visible as a
+// higher MB/s at equal algorithmic bytes.
 
 func benchNTTKernel(b *testing.B, logN, logQ int, fn func(r *Ring, p *Poly)) {
 	primes, err := mod.GenerateNTTPrimes(logQ, logN, 1)
@@ -39,25 +40,27 @@ func benchNTTKernel(b *testing.B, logN, logQ int, fn func(r *Ring, p *Poly)) {
 }
 
 func BenchmarkNTTKernel(b *testing.B) {
-	for _, logQ := range []int{50, 60} {
-		for _, k := range []struct {
-			name string
-			fwd  func(r *Ring, p *Poly)
-			inv  func(r *Ring, p *Poly)
-		}{
-			{"radix2",
-				func(r *Ring, p *Poly) { r.NTTRadix2(p, 0) },
-				func(r *Ring, p *Poly) { r.INTTRadix2(p, 0) }},
-			{"radix4",
-				func(r *Ring, p *Poly) { r.NTT(p, 0) },
-				func(r *Ring, p *Poly) { r.INTT(p, 0) }},
-		} {
-			b.Run(fmt.Sprintf("NTT/%s/logN=17/q=%d", k.name, logQ), func(b *testing.B) {
-				benchNTTKernel(b, 17, logQ, k.fwd)
-			})
-			b.Run(fmt.Sprintf("INTT/%s/logN=17/q=%d", k.name, logQ), func(b *testing.B) {
-				benchNTTKernel(b, 17, logQ, k.inv)
-			})
+	for _, logN := range []int{12, 15, 17} {
+		for _, logQ := range []int{50, 60} {
+			for _, k := range []struct {
+				name string
+				fwd  func(r *Ring, p *Poly)
+				inv  func(r *Ring, p *Poly)
+			}{
+				{"radix2",
+					func(r *Ring, p *Poly) { r.nttRadix2(p, 0) },
+					func(r *Ring, p *Poly) { r.inttRadix2(p, 0) }},
+				{"radix4",
+					func(r *Ring, p *Poly) { r.NTT(p, 0) },
+					func(r *Ring, p *Poly) { r.INTT(p, 0) }},
+			} {
+				b.Run(fmt.Sprintf("NTT/%s/logN=%d/q=%d", k.name, logN, logQ), func(b *testing.B) {
+					benchNTTKernel(b, logN, logQ, k.fwd)
+				})
+				b.Run(fmt.Sprintf("INTT/%s/logN=%d/q=%d", k.name, logN, logQ), func(b *testing.B) {
+					benchNTTKernel(b, logN, logQ, k.inv)
+				})
+			}
 		}
 	}
 }

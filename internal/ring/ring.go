@@ -29,31 +29,31 @@
 //
 // # Kernel hierarchy
 //
-// The negacyclic transforms come in three tiers, each pinned bit-identical
-// to the next by the test suite:
+// The negacyclic transforms have one production kernel per direction,
+// pinned bit-identical to two oracles by the test suite:
 //
-//   - Barrett reference (reference.go): plain-residue radix-2 loops with no
-//     lazy reduction — the slow, obviously-correct oracle every production
-//     kernel is compared against.
-//   - Scalar Montgomery radix-2 (NTTRadix2/INTTRadix2 and the
-//     nttStageRange/inttStageRange per-stage bodies): one REDC-lazy twiddle
-//     multiply per butterfly, values held < 2q, one normalization pass at
-//     the end. The per-stage form is what the sharded schedule dispatches.
-//   - Fused radix-4 (nttRowRadix4/inttRowRadix4): two consecutive radix-2
+//   - Fused radix-4 (nttPass/inttPass, ntt.go): two consecutive radix-2
 //     layers merged into one pass over the row, four coefficients per
 //     butterfly, twiddle triples interleaved per group
 //     (mod.FusedNTTTwiddles), intermediates on a widened [0, 4q) lazy
-//     window. This is the production row kernel.
+//     window; an odd log2(N) adds one radix-2 head (forward) or tail
+//     (inverse) stage. Both dispatch schedules run these passes.
+//   - Barrett reference (reference.go): plain-residue radix-2 loops with no
+//     lazy reduction — the slow, obviously-correct oracle every production
+//     kernel is compared against.
+//   - Scalar Montgomery radix-2 (radix2_test.go, tests only): one REDC-lazy
+//     twiddle multiply per butterfly, values held < 2q — the fused passes'
+//     in-family oracle and benchmark baseline.
 //
 // All kernels dispatch through a two-dimensional execution engine (Engine,
 // see exec.go) that parallelizes across RNS limbs and, when the active limbs
 // alone cannot occupy every worker, across contiguous coefficient blocks
 // within each residue row — so speedup does not saturate at the limb count
 // (level+1): low-level ciphertexts keep the whole pool busy, exactly as the
-// paper's PE grid distributes both limbs and coefficients. Full rows take
-// the fused radix-4 kernel; sharded rows run the per-stage radix-2 schedule
-// with barriers between stages. Outputs are bit-identical to serial
-// execution at every (worker, block) configuration.
+// paper's PE grid distributes both limbs and coefficients. Full rows run
+// every radix-4 pass as one task; sharded rows run each pass across
+// coefficient blocks, with a barrier between passes. Outputs are
+// bit-identical to serial execution at every (worker, block) configuration.
 package ring
 
 import (
